@@ -56,7 +56,9 @@ struct EngineFlags {
     min_mass: Option<f64>,
     /// Fail (classic behaviour) instead of truncating over budget.
     strict: bool,
-    /// Worker threads for matching enumeration (0 = all cores).
+    /// Worker threads that independent components fan out over during
+    /// integration and refinement (0 = all cores); each component's
+    /// search runs on one thread.
     threads: Option<usize>,
     /// Candidate blocking: off, recall-safe prefilters, or
     /// sorted-neighbourhood windowing.
@@ -168,7 +170,11 @@ accepted anywhere and treated as certain.
 file, created on first use): every publish is crash-safely persisted.
 `refine --store FILE` with no source files resumes the stored `result`
 document where the previous process stopped; `query NAME Q --store FILE`
-queries a stored document by name.";
+queries a stored document by name.
+
+--threads N fans independent matching components out over N worker
+threads during integrate and refine (0 = all cores, default 1); each
+component's search runs on one thread. Output is identical at every N.";
 
 fn parse_args(args: &[String]) -> Result<Command, UsageError> {
     let mut positional: Vec<&str> = Vec::new();
@@ -631,12 +637,11 @@ fn run(cmd: Command) -> Result<(), String> {
                     );
                     eprintln!(
                         "refine step {step_no}: search popped {} state(s), \
-                         expanded {}, {} bound cutoff(s), {} round(s) on {} worker(s)",
+                         expanded {}, {} bound cutoff(s), {} round(s)",
                         step.search.popped,
                         step.search.expanded,
                         step.search.cutoffs,
                         step.search.rounds,
-                        step.search.workers,
                     );
                 }
                 if step.remaining == 0 {

@@ -96,6 +96,7 @@
 
 pub mod codec;
 pub mod combos;
+mod fanout;
 pub mod matching;
 mod merge;
 pub mod pipeline;
@@ -113,8 +114,7 @@ use imprecise_pxml::{from_xml, PxDoc, PxInvariantError, PxNodeId};
 use imprecise_xmlkit::{Schema, XmlDoc};
 use std::collections::{BTreeMap, HashSet};
 use std::fmt;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc};
+use std::sync::Arc;
 
 /// How the matching budget is applied across the components of a tag
 /// group (the budget-planning knob of the pipeline).
@@ -182,9 +182,9 @@ pub struct IntegrationOptions {
     pub strict_matchings: bool,
     /// Worker threads for matching enumeration ([`Parallelism::SERIAL`]
     /// by default, [`Parallelism::AUTO`] uses all available cores).
-    /// Several busy components fan out across threads; a single busy
-    /// component spends the same budget inside its best-first search.
-    /// Results are bit-identical regardless of the setting.
+    /// Threads fan out across a tag group's busy components only; each
+    /// component's search runs on one thread. Results are bit-identical
+    /// regardless of the setting.
     pub parallelism: Parallelism,
     /// Hard cap on locally enumerated alternative combinations when an
     /// input child list contains choice points (incremental integration).
@@ -460,11 +460,10 @@ pub struct RefineOptions {
     /// mass first. `usize::MAX` refines every open component.
     pub max_components: usize,
     /// Worker threads for this refine call, overriding the outcome's
-    /// [`IntegrationOptions::parallelism`] when set. The budget goes
-    /// across components first (one thread each), and the remainder
-    /// *into* each component's best-first search — a step refining one
-    /// big component spends every thread inside its search. Results are
-    /// bit-identical at every value.
+    /// [`IntegrationOptions::parallelism`] when set. Threads fan out
+    /// across the selected components only (one component per thread at
+    /// a time), so a step refining a single component runs serially.
+    /// Results are bit-identical at every value.
     pub threads: Option<Parallelism>,
 }
 
@@ -556,8 +555,8 @@ pub struct RefineStep {
     /// figures above then describe the compacted document).
     pub compacted: bool,
     /// Search-side work this step's enumerations did (states popped,
-    /// bound cutoffs, expansion rounds, worker threads) — the cost of
-    /// the step that `emitted_nodes` does not show.
+    /// bound cutoffs, expansion rounds) — the cost of the step that
+    /// `emitted_nodes` does not show.
     pub search: SearchStats,
 }
 
@@ -996,9 +995,9 @@ struct PreparedComponent {
 
 /// Phase A of a refine step for one component: resume the enumeration
 /// (on a clone of the site's resident enumerator, or a restore of its
-/// stored frontier) with up to `threads` expansion workers, and emit
-/// the delta into a scratch arena. Touches nothing shared — the site
-/// itself is only updated when the step commits, so errors stay atomic.
+/// stored frontier) and emit the delta into a scratch arena. Touches
+/// nothing shared — the site itself is only updated when the step
+/// commits, so errors stay atomic.
 #[allow(clippy::too_many_arguments)]
 fn prepare_one(
     frontiers: &[DocFrontier],
@@ -1010,7 +1009,6 @@ fn prepare_one(
     reemit_options: &IntegrationOptions,
     options: &RefineOptions,
     arena_base: usize,
-    threads: usize,
 ) -> Result<PreparedComponent, IntegrateError> {
     let df = &frontiers[slot];
     let mut en = df.enumerator()?;
@@ -1019,13 +1017,10 @@ fn prepare_one(
     } else {
         en.kept().saturating_add(options.extra_matchings.max(1))
     };
-    let (all, is_new) = en.run_delta(
-        &MatchBudget {
-            max_matchings,
-            min_retained_mass: options.min_retained_mass,
-        },
-        threads,
-    );
+    let (all, is_new) = en.run_delta(&MatchBudget {
+        max_matchings,
+        min_retained_mass: options.min_retained_mass,
+    });
     let left = if en.is_drained() { None } else { Some(en) };
     let mut builder =
         merge::Builder::scratch(src_a, src_b, oracle, schema, reemit_options, arena_base);
@@ -1042,10 +1037,10 @@ fn prepare_one(
     })
 }
 
-/// Phase A over every selected frontier, fanning out over scoped worker
-/// threads when the options allow and more than one component is
-/// selected. Results come back in selection order and the first error
-/// (in that order) wins, so serial and parallel runs agree exactly.
+/// Phase A over every selected frontier, fanning out across the
+/// selected components when the options allow. Results come back in
+/// selection order and the first error (in that order) wins, so serial
+/// and parallel runs agree exactly.
 #[allow(clippy::too_many_arguments)]
 fn prepare_components(
     frontiers: &[DocFrontier],
@@ -1058,74 +1053,24 @@ fn prepare_components(
     options: &RefineOptions,
     arena_base: usize,
 ) -> Result<Vec<PreparedComponent>, IntegrateError> {
-    // The thread budget goes across components first, and what is left
-    // over goes *into* each component's search — one big component gets
-    // every thread inside its best-first expansion.
-    let total = options
+    let threads = options
         .threads
         .unwrap_or(reemit_options.parallelism)
-        .effective();
-    let outer = total.min(order.len()).max(1);
-    let inner = (total / outer).max(1);
-    if outer <= 1 || order.len() < 2 {
-        return order
-            .iter()
-            .map(|&i| {
-                prepare_one(
-                    frontiers,
-                    i,
-                    src_a,
-                    src_b,
-                    oracle,
-                    schema,
-                    reemit_options,
-                    options,
-                    arena_base,
-                    inner,
-                )
-            })
-            .collect();
-    }
-    let next = AtomicUsize::new(0);
-    let (tx, rx) = mpsc::channel();
-    std::thread::scope(|scope| {
-        for _ in 0..outer {
-            let tx = tx.clone();
-            let next = &next;
-            scope.spawn(move || loop {
-                let k = next.fetch_add(1, Ordering::Relaxed);
-                if k >= order.len() {
-                    break;
-                }
-                let result = prepare_one(
-                    frontiers,
-                    order[k],
-                    src_a,
-                    src_b,
-                    oracle,
-                    schema,
-                    reemit_options,
-                    options,
-                    arena_base,
-                    inner,
-                );
-                if tx.send((k, result)).is_err() {
-                    break;
-                }
-            });
-        }
-    });
-    drop(tx);
-    let mut slots: Vec<Option<Result<PreparedComponent, IntegrateError>>> =
-        order.iter().map(|_| None).collect();
-    for (k, result) in rx {
-        slots[k] = Some(result);
-    }
-    slots
-        .into_iter()
-        // lint:allow(expect-in-lib, holds by construction: every selected component was prepared)
-        .map(|slot| slot.expect("every selected component was prepared"))
-        .collect()
+        .effective()
+        .min(order.len());
+    fanout::try_fan_out(order.len(), threads, |k| {
+        prepare_one(
+            frontiers,
+            order[k],
+            src_a,
+            src_b,
+            oracle,
+            schema,
+            reemit_options,
+            options,
+            arena_base,
+        )
+    })
 }
 
 /// The document-independent refinable state of a truncated

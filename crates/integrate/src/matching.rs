@@ -32,7 +32,7 @@
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 use std::fmt;
-use std::sync::{mpsc, Arc, OnceLock};
+use std::sync::{Arc, OnceLock};
 
 /// An undecided candidate pair with its match probability.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -154,14 +154,15 @@ pub struct BudgetedMatchings {
     pub search: SearchStats,
 }
 
-/// The one parallelism knob, shared by the component-level fan-out and
-/// the intra-component search: `0` means "all available cores"
+/// The one parallelism knob: how many threads independent components
+/// fan out over, during integration and refinement. Each component's
+/// search always runs on one thread. `0` means "all available cores"
 /// (resolved once and cached — `available_parallelism` is a
 /// cgroup/sysfs read), `1` is serial, `N` pins the thread count.
 ///
-/// Thread counts are pure *scheduling* hints in this pipeline: every
-/// parallel stage reassembles results in deterministic order, so
-/// published bytes are identical at every value.
+/// Thread counts are pure *scheduling* hints in this pipeline: the
+/// fan-out reassembles results in component order, so published bytes
+/// are identical at every value.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Parallelism(usize);
 
@@ -218,21 +219,17 @@ pub struct SearchStats {
     /// below it was left unexpanded until the certified phase ruled on
     /// it.
     pub cutoffs: u64,
-    /// Expansion rounds driven (each round is one worker fan-out).
+    /// Expansion rounds driven (each round expands one batch).
     pub rounds: u64,
-    /// Worker threads that expanded batches (1 = serial).
-    pub workers: usize,
 }
 
 impl SearchStats {
-    /// Fold another run's counters into this one: counters add, the
-    /// worker count reports the maximum seen.
+    /// Fold another run's counters into this one: every counter adds.
     pub fn absorb(&mut self, other: &SearchStats) {
         self.popped += other.popped;
         self.expanded += other.expanded;
         self.cutoffs += other.cutoffs;
         self.rounds += other.rounds;
-        self.workers = self.workers.max(other.workers);
     }
 }
 
@@ -1161,14 +1158,7 @@ impl FrontierEnumerator {
     /// result is bit-identical to [`enumerate_matchings`], no matter how
     /// many budgeted runs came before.
     pub fn run(&mut self, budget: &MatchBudget) -> BudgetedMatchings {
-        self.run_delta(budget, 1).0
-    }
-
-    /// [`run`](Self::run) with an expansion worker pool of up to
-    /// `threads` threads. Bitwise-identical results at every thread
-    /// count — see [`run_delta`](Self::run_delta).
-    pub fn run_with(&mut self, budget: &MatchBudget, threads: usize) -> BudgetedMatchings {
-        self.run_delta(budget, threads).0
+        self.run_delta(budget).0
     }
 
     /// [`run`](Self::run) for incremental emitters: the same canonical
@@ -1185,30 +1175,20 @@ impl FrontierEnumerator {
     /// extend, what they emitted for a synthetic frontier (they can tell
     /// by the flagged-old count no longer matching what they hold).
     ///
-    /// # Determinism across thread counts
+    /// # The round schedule
     ///
-    /// The search proceeds in *rounds*: a sequential "certified" phase
-    /// yields complete matchings while one sits at the top of the heap
-    /// (no unexpanded state's admissible bound outranks it — the shared
-    /// bound every worker's output is certified against), then a batch
-    /// — the maximal run of consecutive incomplete states at the top of
-    /// the heap, capped at `EXPAND_BATCH` — is popped and
-    /// expanded — serially or split across `threads` workers — and the
-    /// children are merged back in batch order with sequentially
-    /// assigned tie-break numbers. Batch composition, `seq` numbering
-    /// and every stop decision are pure functions of the heap's pop
-    /// order, never of worker timing, so the yielded matchings, the
-    /// mass sums and the frontier snapshot are **bitwise identical** at
-    /// every `threads` value (`run_delta(b, 1)` and `run_delta(b, 7)`
-    /// agree bit for bit). Stops (budget, retained-mass, expansion
-    /// valve) only ever fire between rounds with the heap intact, which
-    /// is also what makes a staged stop-and-resume replay the one-shot
-    /// run exactly.
-    pub fn run_delta(
-        &mut self,
-        budget: &MatchBudget,
-        threads: usize,
-    ) -> (BudgetedMatchings, Vec<bool>) {
+    /// The search proceeds in *rounds*: a "certified" phase yields
+    /// complete matchings while one sits at the top of the heap (no
+    /// unexpanded state's admissible bound outranks it), then a batch —
+    /// the maximal run of consecutive incomplete states at the top of
+    /// the heap, capped at `EXPAND_BATCH` — is popped, and its children
+    /// are pushed in batch order with sequentially assigned tie-break
+    /// numbers. Batch composition, `seq` numbering and every stop
+    /// decision are pure functions of the heap's pop order. Stops
+    /// (budget, retained-mass, expansion valve) only ever fire between
+    /// rounds with the heap intact, which is what makes a staged
+    /// stop-and-resume replay the one-shot run exactly.
+    pub fn run_delta(&mut self, budget: &MatchBudget) -> (BudgetedMatchings, Vec<bool>) {
         if self.synthetic {
             // Discard the synthesised fallback: the open states cover
             // the entire space (including the all-excluded matching), so
@@ -1243,49 +1223,9 @@ impl FrontierEnumerator {
                         .saturating_mul(4),
                 )
         };
-        let workers = if threads > 1 && live_len >= MIN_PARALLEL_LIVE {
-            threads
-        } else {
-            1
-        };
-        let mut stats = SearchStats {
-            workers,
-            ..SearchStats::default()
-        };
+        let mut stats = SearchStats::default();
         if self.yielded.len() < budget.max_matchings {
-            let FrontierEnumerator {
-                ref component,
-                ref live,
-                max_take,
-                ref bounds,
-                ref mut heap,
-                ref mut seq,
-                ref mut yielded,
-                ref mut retained,
-                ref mut total_mass_cache,
-                ..
-            } = *self;
-            let mut cursor = SearchCursor {
-                forced: &component.forced,
-                live,
-                bounds,
-                max_take,
-                heap,
-                seq,
-                yielded,
-                retained,
-                total_mass_cache,
-            };
-            if workers > 1 {
-                expand_pooled(&mut cursor, budget, max_expansions, workers, &mut stats);
-            } else {
-                cursor.drive(budget, max_expansions, &mut stats, &mut |batch| {
-                    batch
-                        .into_iter()
-                        .map(|s| expand_state(s, live, bounds, max_take))
-                        .collect()
-                });
-            }
+            self.drive(budget, max_expansions, &mut stats);
         }
         if self.yielded.is_empty() {
             // The expansion valve fired before any complete matching was
@@ -1352,27 +1292,18 @@ impl FrontierEnumerator {
 }
 
 /// How many of the best open (incomplete) states one expansion round
-/// pops for simultaneous expansion. The batch is what parallel workers
-/// split; it is a fixed constant — NOT derived from the thread count —
-/// so the pop/expansion schedule (and with it every yielded matching,
-/// mass sum and frontier snapshot) is bitwise-identical at every
-/// `threads` value.
+/// pops. A fixed constant, so the pop/expansion schedule (and with it
+/// every yielded matching, mass sum and frontier snapshot) is a
+/// canonical property of the component.
 const EXPAND_BATCH: usize = 256;
 
 /// How many *exactly tied* `(bound, depth)` states one batch may take
-/// before cutting the round short. On tie plateaus this reproduces the
-/// sequential search's depth-first dive — this many branches abreast —
-/// instead of materialising the plateau's exponential breadth. A fixed
-/// constant for the same reason as [`EXPAND_BATCH`]: the batch schedule
-/// must be a pure function of the heap's pop order.
+/// before cutting the round short. On tie plateaus this gives a
+/// depth-first dive — this many branches abreast — instead of
+/// materialising the plateau's exponential breadth. A fixed constant
+/// for the same reason as [`EXPAND_BATCH`]: the batch schedule must be a
+/// pure function of the heap's pop order.
 const TIE_WIDTH: usize = 8;
-
-/// Components with fewer live pairs than this expand serially even when
-/// more threads are offered: the per-round channel round-trip would cost
-/// more than the expansion arithmetic it parallelises. Purely a
-/// scheduling gate — both paths run the identical round algorithm, so
-/// the gate cannot affect results.
-const MIN_PARALLEL_LIVE: usize = 16;
 
 /// Fallback frontier bound: each open state's subtree mass is at most
 /// its weight (remaining factors sum to at most 1 per candidate, and
@@ -1392,93 +1323,11 @@ fn frontier_mass(heap: &BinaryHeap<SearchState>) -> f64 {
     weights.iter().sum::<f64>()
 }
 
-/// The children of one expanded incomplete state, computed as pure
-/// arithmetic over shared read-only tables so a batch can fan out to
-/// worker threads. Heap pushes and `seq` assignment stay with the
-/// sequential merge, so tie-break numbering is independent of worker
-/// timing.
-struct Expanded {
-    /// The expanded parent (owns the `taken` prefix its exclude child
-    /// reuses).
-    state: SearchState,
-    excl_weight: f64,
-    excl_bound: f64,
-    /// The include child, when both endpoints are free.
-    incl: Option<InclChild>,
-}
-
-/// An include child's `(weight, bound, taken-prefix extended by the new
-/// pair)`.
-type InclChild = (f64, f64, Arc<[(usize, usize)]>);
-
-/// Expand one incomplete state into its exclude/include children.
-///
-/// Pure and panic-free (the driver guarantees `state.idx` indexes
-/// `live`): workers run it with no shared mutable state, so the scoped
-/// pool only ever computes and joins — no locks, no result races.
-fn expand_state(
-    state: SearchState,
-    live: &[Candidate],
-    bounds: &SuffixBounds,
-    max_take: usize,
-) -> Expanded {
-    let c = live[state.idx];
-    let takeable = max_take - state.taken.len();
-    // Exclude edge idx.
-    let w_excl = state.weight * (1.0 - c.p);
-    let excl_bound = w_excl * bounds.remaining(state.idx + 1, takeable);
-    // Include edge idx when both endpoints are free; a blocked
-    // inclusion's mass never existed among valid matchings, so it simply
-    // vanishes from the frontier (tightening the bound).
-    let free = takeable > 0 && !state.taken.iter().any(|&(a, b)| a == c.a || b == c.b);
-    let incl: Option<InclChild> = if free {
-        let w_incl = state.weight * c.p;
-        let mut taken = Vec::with_capacity(state.taken.len() + 1);
-        taken.extend_from_slice(&state.taken);
-        taken.push((c.a, c.b));
-        Some((
-            w_incl,
-            w_incl * bounds.remaining(state.idx + 1, takeable - 1),
-            Arc::from(taken),
-        ))
-    } else {
-        None
-    };
-    Expanded {
-        state,
-        excl_weight: w_excl,
-        excl_bound,
-        incl,
-    }
-}
-
-/// Split borrows of the enumerator fields the sequential side of the
-/// round algorithm mutates, separated from the read-only search tables
-/// (`live`, `bounds`) that worker threads borrow for the lifetime of
-/// the pool's scope.
-struct SearchCursor<'e> {
-    forced: &'e [(usize, usize)],
-    live: &'e [Candidate],
-    bounds: &'e SuffixBounds,
-    max_take: usize,
-    heap: &'e mut BinaryHeap<SearchState>,
-    seq: &'e mut u64,
-    yielded: &'e mut Vec<Matching>,
-    retained: &'e mut f64,
-    total_mass_cache: &'e mut Option<Option<f64>>,
-}
-
-impl SearchCursor<'_> {
-    /// The round loop of [`FrontierEnumerator::run_delta`]: certified
-    /// yields, batch selection, expansion via `expand` (inline or a
-    /// worker pool — the only pluggable part), sequential merge.
-    fn drive(
-        &mut self,
-        budget: &MatchBudget,
-        max_expansions: usize,
-        stats: &mut SearchStats,
-        expand: &mut dyn FnMut(Vec<SearchState>) -> Vec<Expanded>,
-    ) {
+impl FrontierEnumerator {
+    /// The round loop of [`run_delta`](Self::run_delta): certified
+    /// yields, batch selection, then the batch's expansion with its
+    /// children pushed in batch order.
+    fn drive(&mut self, budget: &MatchBudget, max_expansions: usize, stats: &mut SearchStats) {
         let live_len = self.live.len();
         // Without an exact total, early-stop checks cost O(frontier), so
         // they run at exponentially spaced yield counts — total checking
@@ -1496,10 +1345,10 @@ impl SearchCursor<'_> {
             while self.heap.peek().is_some_and(|s| s.idx == live_len) {
                 let Some(state) = self.heap.pop() else { break };
                 stats.popped += 1;
-                let mut pairs = self.forced.to_vec();
+                let mut pairs = self.component.forced.clone();
                 pairs.extend_from_slice(&state.taken);
                 pairs.sort_unstable();
-                *self.retained += state.weight;
+                self.retained += state.weight;
                 self.yielded.push(Matching {
                     pairs,
                     weight: state.weight,
@@ -1511,15 +1360,15 @@ impl SearchCursor<'_> {
                     if self.yielded.len() >= MASS_STOP_FLOOR {
                         match self.total_mass() {
                             Some(z) => {
-                                if *self.retained >= t * z {
+                                if self.retained >= t * z {
                                     return;
                                 }
                             }
                             None => {
                                 if self.yielded.len() >= next_mass_check {
                                     next_mass_check = self.yielded.len().saturating_mul(2);
-                                    let pending = frontier_mass(self.heap);
-                                    if *self.retained / (*self.retained + pending) >= t {
+                                    let pending = frontier_mass(&self.heap);
+                                    if self.retained / (self.retained + pending) >= t {
                                         return;
                                     }
                                 }
@@ -1540,19 +1389,16 @@ impl SearchCursor<'_> {
             //   certified phase may be about to make unnecessary;
             // * an exact `(bound, idx)` tie run longer than
             //   [`TIE_WIDTH`] ends the run — on a tie plateau (uniform
-            //   probabilities make these common) the sequential search
-            //   dives depth-first through one tied branch at a time,
-            //   and a wide batch would instead materialise the whole
-            //   exponential breadth of the plateau; capping the tied
-            //   take reproduces the dive, [`TIE_WIDTH`] branches
-            //   abreast.
+            //   probabilities make these common) a wide batch would
+            //   materialise the whole exponential breadth of the
+            //   plateau; capping the tied take dives depth-first,
+            //   [`TIE_WIDTH`] branches abreast.
             //
             // Both cutoffs read only the heap's pop order and
-            // constants — never the budget, the thread count, or worker
-            // timing — so the expansion schedule (and with it every seq
-            // number, yield and frontier) stays a canonical property of
-            // the component, identical across stagings and thread
-            // counts.
+            // constants — never the budget — so the expansion schedule
+            // (and with it every seq number, yield and frontier) stays a
+            // canonical property of the component, identical across
+            // stagings.
             let target = EXPAND_BATCH.min(max_expansions - expansions);
             if target == 0 {
                 // The expansion valve fired. The heap is intact, so the
@@ -1600,108 +1446,52 @@ impl SearchCursor<'_> {
             expansions += batch.len();
             stats.expanded += batch.len() as u64;
             stats.rounds += 1;
-            let results = expand(batch);
-            // Merge, sequential and in batch order: `seq` numbering is
-            // a pure function of the pop history, independent of how
-            // many workers computed the expansions.
-            for ex in results {
-                *self.seq += 1;
-                self.heap.push(SearchState {
-                    bound: ex.excl_bound,
-                    seq: *self.seq,
-                    idx: ex.state.idx + 1,
-                    weight: ex.excl_weight,
-                    taken: ex.state.taken,
-                });
-                if let Some((weight, bound, taken)) = ex.incl {
-                    *self.seq += 1;
-                    self.heap.push(SearchState {
-                        bound,
-                        seq: *self.seq,
-                        idx: ex.state.idx + 1,
-                        weight,
-                        taken,
-                    });
-                }
+            // Expand in batch order: `seq` numbering is a pure function
+            // of the pop history.
+            for state in batch {
+                self.expand(state);
             }
         }
     }
 
-    /// See [`FrontierEnumerator::total_mass`] — same lazy cache, reached
-    /// through the split borrow.
-    fn total_mass(&mut self) -> Option<f64> {
-        let live = self.live;
-        *self
-            .total_mass_cache
-            .get_or_insert_with(|| exact_total_mass(live))
-    }
-}
-
-/// Drive the round algorithm with a persistent expansion pool: `workers`
-/// scoped threads each own a job channel, the driver splits every batch
-/// into contiguous per-worker chunks, and results are reassembled in
-/// worker-index order — the deterministic-reassembly pattern (atomic-free
-/// here: plain channels, no shared mutable state inside the scope), so
-/// worker timing cannot reorder anything the merge sees. The pool
-/// persists across all rounds of one run: spawning threads per round
-/// would swamp the expansions they compute.
-fn expand_pooled(
-    cursor: &mut SearchCursor<'_>,
-    budget: &MatchBudget,
-    max_expansions: usize,
-    workers: usize,
-    stats: &mut SearchStats,
-) {
-    let live = cursor.live;
-    let bounds = cursor.bounds;
-    let max_take = cursor.max_take;
-    std::thread::scope(|s| {
-        let (res_tx, res_rx) = mpsc::channel::<(usize, Vec<Expanded>)>();
-        let mut jobs: Vec<mpsc::Sender<Vec<SearchState>>> = Vec::with_capacity(workers);
-        for w in 0..workers {
-            let (job_tx, job_rx) = mpsc::channel::<Vec<SearchState>>();
-            jobs.push(job_tx);
-            let res_tx = res_tx.clone();
-            s.spawn(move || {
-                while let Ok(chunk) = job_rx.recv() {
-                    let out: Vec<Expanded> = chunk
-                        .into_iter()
-                        .map(|st| expand_state(st, live, bounds, max_take))
-                        .collect();
-                    if res_tx.send((w, out)).is_err() {
-                        return;
-                    }
-                }
-            });
-        }
-        drop(res_tx);
-        cursor.drive(budget, max_expansions, stats, &mut |batch| {
-            // Contiguous ceil-div chunks: every worker gets a (possibly
-            // empty) chunk, so exactly `workers` results come back and
-            // index-ordered reassembly restores the original batch
-            // order.
-            let expected = batch.len();
-            let per = expected.div_ceil(workers);
-            let mut items = batch.into_iter();
-            for job in &jobs {
-                let chunk: Vec<SearchState> = items.by_ref().take(per).collect();
-                // Workers only exit when `jobs` drops at scope end, and
-                // `expand_state` is panic-free, so sends and receives
-                // cannot fail here.
-                let _ = job.send(chunk);
-            }
-            let mut slots: Vec<Vec<Expanded>> = (0..workers).map(|_| Vec::new()).collect();
-            for _ in 0..workers {
-                if let Ok((w, out)) = res_rx.recv() {
-                    slots[w] = out;
-                }
-            }
-            let merged: Vec<Expanded> = slots.into_iter().flatten().collect();
-            debug_assert_eq!(merged.len(), expected, "a worker dropped expansions");
-            merged
+    /// Expand one incomplete state (`state.idx` indexes `live`) into its
+    /// exclude child and, when both endpoints are free, its include
+    /// child, numbering them in that order.
+    fn expand(&mut self, state: SearchState) {
+        let c = self.live[state.idx];
+        let takeable = self.max_take - state.taken.len();
+        // Exclude edge idx.
+        let w_excl = state.weight * (1.0 - c.p);
+        let excl_bound = w_excl * self.bounds.remaining(state.idx + 1, takeable);
+        // Include edge idx when both endpoints are free; a blocked
+        // inclusion's mass never existed among valid matchings, so it
+        // simply vanishes from the frontier (tightening the bound).
+        let free = takeable > 0 && !state.taken.iter().any(|&(a, b)| a == c.a || b == c.b);
+        let incl = free.then(|| {
+            let w_incl = state.weight * c.p;
+            let mut taken = Vec::with_capacity(state.taken.len() + 1);
+            taken.extend_from_slice(&state.taken);
+            taken.push((c.a, c.b));
+            let bound = w_incl * self.bounds.remaining(state.idx + 1, takeable - 1);
+            (w_incl, bound, Arc::from(taken))
         });
-        // Dropping `jobs` closes the channels; the scope joins the pool.
-    });
+        self.push_child(excl_bound, state.idx + 1, w_excl, state.taken);
+        if let Some((weight, bound, taken)) = incl {
+            self.push_child(bound, state.idx + 1, weight, taken);
+        }
+    }
+
+    /// Push one child state under the next tie-break number.
+    fn push_child(&mut self, bound: f64, idx: usize, weight: f64, taken: Arc<[(usize, usize)]>) {
+        self.seq += 1;
+        self.heap.push(SearchState {
+            bound,
+            seq: self.seq,
+            idx,
+            weight,
+            taken,
+        });
+    }
 }
 
 /// Enumerate the heaviest matchings of a component under a budget.
@@ -2139,9 +1929,14 @@ mod tests {
 
     #[test]
     fn resumed_enumeration_matches_exhaustive_bitwise() {
-        for (n, m, p) in [(3, 3, 0.7), (4, 3, 0.35), (4, 4, 0.5)] {
-            let c = full_graph(n, m, p);
-            let exhaustive = enumerate_matchings(&c, usize::MAX).unwrap();
+        let inputs = [
+            full_graph(3, 3, 0.7),
+            full_graph(4, 3, 0.35),
+            full_graph(4, 4, 0.5),
+            proper_graph55(),
+        ];
+        for (case, c) in inputs.iter().enumerate() {
+            let exhaustive = enumerate_matchings(c, usize::MAX).unwrap();
             // Truncate, persist, restore, run to completion.
             let mut first = FrontierEnumerator::new(Arc::new(c.clone()));
             let partial = first.run(&budget(5));
@@ -2159,10 +1954,16 @@ mod tests {
             assert!(resumed.frontier().is_none());
             assert!(!full.truncated);
             assert_eq!(full.frontier_nodes, 0);
-            assert_eq!(full.matchings.len(), exhaustive.len(), "{n}x{m} p={p}");
-            for (a, b) in full.matchings.iter().zip(&exhaustive) {
-                assert_eq!(a.pairs, b.pairs);
-                assert_eq!(a.weight.to_bits(), b.weight.to_bits(), "{n}x{m} p={p}");
+            // The live enumerator continues to the same result as the
+            // restored one.
+            let live = first.run(&MatchBudget::UNLIMITED);
+            assert!(!live.truncated);
+            for result in [&full, &live] {
+                assert_eq!(result.matchings.len(), exhaustive.len(), "case {case}");
+                for (a, b) in result.matchings.iter().zip(&exhaustive) {
+                    assert_eq!(a.pairs, b.pairs);
+                    assert_eq!(a.weight.to_bits(), b.weight.to_bits(), "case {case}");
+                }
             }
         }
     }
@@ -2292,29 +2093,63 @@ mod tests {
         }
     }
 
+    /// A 5×5 graph with distinct probabilities: 25 live pairs and a
+    /// unique top-K at every budget.
+    fn proper_graph55() -> Component {
+        let mut possible = Vec::new();
+        for a in 0..5usize {
+            for b in 0..5usize {
+                possible.push(Candidate {
+                    a,
+                    b,
+                    p: 0.10 + 0.031 * (a * 5 + b) as f64,
+                });
+            }
+        }
+        Component {
+            a_nodes: (0..5).collect(),
+            b_nodes: (0..5).collect(),
+            forced: Vec::new(),
+            possible,
+        }
+    }
+
     #[test]
     fn run_delta_flags_exactly_the_new_matchings() {
-        let c = proper_graph44();
-        let mut en = FrontierEnumerator::new(Arc::new(c.clone()));
-        let first = en.run(&budget(5));
-        assert!(first.truncated);
-        let first_pairs: Vec<Vec<(usize, usize)>> =
-            first.matchings.iter().map(|m| m.pairs.clone()).collect();
-        let (next, is_new) = en.run_delta(&budget(5 + 4), 1);
-        assert_eq!(next.matchings.len(), 9);
-        assert_eq!(is_new.len(), next.matchings.len());
-        assert_eq!(is_new.iter().filter(|&&n| n).count(), 4);
-        // Old entries are exactly the first run's matchings (same pairs),
-        // rescaled; new ones were not in the first kept set.
-        for (m, &fresh) in next.matchings.iter().zip(&is_new) {
-            assert_eq!(!first_pairs.contains(&m.pairs), fresh, "{:?}", m.pairs);
-        }
-        // Bitwise agreement with a single-shot run over the same budget:
-        // the delta form only adds provenance, never changes weights.
-        let oneshot = FrontierEnumerator::new(Arc::new(c.clone())).run(&budget(9));
-        for (a, b) in next.matchings.iter().zip(&oneshot.matchings) {
-            assert_eq!(a.pairs, b.pairs);
-            assert_eq!(a.weight.to_bits(), b.weight.to_bits());
+        for (c, first_budget, extra) in [(proper_graph44(), 5, 4), (proper_graph55(), 40, 33)] {
+            let mut en = FrontierEnumerator::new(Arc::new(c.clone()));
+            let first = en.run(&budget(first_budget));
+            assert!(first.truncated);
+            let first_pairs: Vec<Vec<(usize, usize)>> =
+                first.matchings.iter().map(|m| m.pairs.clone()).collect();
+            let (next, is_new) = en.run_delta(&budget(first_budget + extra));
+            assert_eq!(next.matchings.len(), first_budget + extra);
+            assert_eq!(is_new.len(), next.matchings.len());
+            assert_eq!(is_new.iter().filter(|&&n| n).count(), extra);
+            // Old entries are exactly the first run's matchings (same
+            // pairs), rescaled; new ones were not in the first kept set.
+            for (m, &fresh) in next.matchings.iter().zip(&is_new) {
+                assert_eq!(!first_pairs.contains(&m.pairs), fresh, "{:?}", m.pairs);
+            }
+            // Bitwise agreement with a single-shot run over the same
+            // budget: the delta form only adds provenance, never changes
+            // weights — and the two installments leave the very frontier
+            // the one-shot run leaves, down to the snapshot bytes.
+            let mut oneshot_en = FrontierEnumerator::new(Arc::new(c.clone()));
+            let oneshot = oneshot_en.run(&budget(first_budget + extra));
+            for (a, b) in next.matchings.iter().zip(&oneshot.matchings) {
+                assert_eq!(a.pairs, b.pairs);
+                assert_eq!(a.weight.to_bits(), b.weight.to_bits());
+            }
+            let (mut staged_bytes, mut oneshot_bytes) = (Vec::new(), Vec::new());
+            en.frontier()
+                .expect("still truncated")
+                .encode(&mut staged_bytes);
+            oneshot_en
+                .frontier()
+                .expect("still truncated")
+                .encode(&mut oneshot_bytes);
+            assert_eq!(staged_bytes, oneshot_bytes, "snapshot bytes");
         }
     }
 
@@ -2326,7 +2161,7 @@ mod tests {
         let frontier = en.frontier().unwrap();
         let mut resumed =
             FrontierEnumerator::restore(Arc::new(c.clone()), &frontier).expect("same component");
-        let (full, is_new) = resumed.run_delta(&MatchBudget::UNLIMITED, 1);
+        let (full, is_new) = resumed.run_delta(&MatchBudget::UNLIMITED);
         assert!(!full.truncated);
         assert_eq!(is_new.iter().filter(|&&n| !n).count(), 3);
         let exhaustive = enumerate_matchings(&c, usize::MAX).unwrap();
@@ -2401,93 +2236,6 @@ mod tests {
         assert_send_sync::<ComponentFrontier>();
         assert_send_sync::<SearchStats>();
         assert_send_sync::<Parallelism>();
-    }
-
-    /// A 5×5 graph with distinct probabilities: 25 live pairs (past the
-    /// parallel scheduling gate) and a unique top-K at every budget.
-    fn parallel_graph55() -> Component {
-        let mut possible = Vec::new();
-        for a in 0..5usize {
-            for b in 0..5usize {
-                possible.push(Candidate {
-                    a,
-                    b,
-                    p: 0.10 + 0.031 * (a * 5 + b) as f64,
-                });
-            }
-        }
-        Component {
-            a_nodes: (0..5).collect(),
-            b_nodes: (0..5).collect(),
-            forced: Vec::new(),
-            possible,
-        }
-    }
-
-    #[test]
-    fn parallel_search_is_bitwise_identical_at_every_thread_count() {
-        let c = Arc::new(parallel_graph55());
-        // Two staged installments plus a snapshot, at each thread count.
-        let staged = |threads: usize| {
-            let mut en = FrontierEnumerator::new(Arc::clone(&c));
-            let (first, first_new) = en.run_delta(&budget(40), threads);
-            let (second, second_new) = en.run_delta(&budget(40 + 33), threads);
-            let mut bytes = Vec::new();
-            en.frontier().expect("still truncated").encode(&mut bytes);
-            (first, first_new, second, second_new, bytes)
-        };
-        let (s1, sn1, s2, sn2, sbytes) = staged(1);
-        assert_eq!(s1.search.workers, 1);
-        assert!(s1.search.popped > 0 && s1.search.expanded > 0);
-        for threads in [2, 4, 7] {
-            let (p1, pn1, p2, pn2, pbytes) = staged(threads);
-            assert_eq!(p1.search.workers, threads, "pool must engage");
-            for (serial, parallel) in [(&s1, &p1), (&s2, &p2)] {
-                assert_eq!(serial.matchings.len(), parallel.matchings.len());
-                for (a, b) in serial.matchings.iter().zip(&parallel.matchings) {
-                    assert_eq!(a.pairs, b.pairs, "threads={threads}");
-                    assert_eq!(a.weight.to_bits(), b.weight.to_bits(), "threads={threads}");
-                }
-                assert_eq!(
-                    serial.retained_mass.to_bits(),
-                    parallel.retained_mass.to_bits()
-                );
-                assert_eq!(
-                    serial.discarded_mass.to_bits(),
-                    parallel.discarded_mass.to_bits()
-                );
-                assert_eq!(serial.frontier_nodes, parallel.frontier_nodes);
-                // The schedule itself is thread-count independent, so
-                // the work counters agree exactly too.
-                assert_eq!(serial.search.popped, parallel.search.popped);
-                assert_eq!(serial.search.expanded, parallel.search.expanded);
-                assert_eq!(serial.search.cutoffs, parallel.search.cutoffs);
-                assert_eq!(serial.search.rounds, parallel.search.rounds);
-            }
-            assert_eq!(sn1, pn1, "threads={threads}");
-            assert_eq!(sn2, pn2, "threads={threads}");
-            assert_eq!(sbytes, pbytes, "snapshot bytes, threads={threads}");
-        }
-    }
-
-    #[test]
-    fn parallel_resume_from_snapshot_matches_serial_continuation() {
-        let c = Arc::new(parallel_graph55());
-        let mut en = FrontierEnumerator::new(Arc::clone(&c));
-        en.run(&budget(25));
-        let snapshot = en.frontier().expect("truncated");
-        // Continue the live enumerator serially…
-        let live = en.run_with(&MatchBudget::UNLIMITED, 1);
-        // …and a restored one with a worker pool.
-        let mut restored =
-            FrontierEnumerator::restore(Arc::clone(&c), &snapshot).expect("same component");
-        let resumed = restored.run_with(&MatchBudget::UNLIMITED, 4);
-        assert!(!live.truncated && !resumed.truncated);
-        assert_eq!(live.matchings.len(), resumed.matchings.len());
-        for (a, b) in live.matchings.iter().zip(&resumed.matchings) {
-            assert_eq!(a.pairs, b.pairs);
-            assert_eq!(a.weight.to_bits(), b.weight.to_bits());
-        }
     }
 
     #[test]

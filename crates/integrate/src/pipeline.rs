@@ -12,7 +12,7 @@
 //!    descending weight, cut off at the configured [`MatchBudget`] with
 //!    the dropped probability mass accounted (or, in strict mode, a
 //!    [`TooManyMatchings`] error). Components are independent, so this
-//!    stage fans out over [`std::thread::scope`] when
+//!    stage fans out over worker threads when
 //!    [`IntegrationOptions::parallelism`] allows.
 //! 4. **Merge** — the builder in `merge` consumes the outcomes and
 //!    assembles the output document; it never sees how (or on how many
@@ -22,6 +22,7 @@
 //! order and each component's enumeration is self-contained, so serial
 //! and parallel runs build bit-identical documents.
 
+use crate::fanout::try_fan_out;
 use crate::matching::{
     enumerate_matchings, live_candidates, split_components, Candidate, Component,
     ComponentFrontier, FrontierEnumerator, FrontierMismatch, MatchBudget, Matching,
@@ -32,8 +33,7 @@ use imprecise_oracle::value::PossibleValues;
 use imprecise_oracle::{BlockingPlan, ElemRef, ElementFeatures, Oracle, PruneFilter};
 use imprecise_pxml::{PxDoc, PxNodeId};
 use std::collections::{BTreeMap, BTreeSet};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc};
+use std::sync::Arc;
 
 /// Stage-1 output: the judged cross product of one tag group.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -665,13 +665,9 @@ fn component_budgets(components: &[Component], options: &IntegrationOptions) -> 
 const MIN_PARALLEL_PAIRS: usize = 8;
 
 /// Stage 3: enumerate the matchings of every component under the
-/// options' budget, in parallel when allowed and worthwhile.
-///
-/// With several busy components the fan-out is *across* components
-/// (each enumeration self-contained and serial); with one busy
-/// component the thread budget goes *into* its best-first search
-/// instead ([`FrontierEnumerator::run_with`]). Either way results are
-/// bit-identical to the serial path.
+/// options' budget, fanning out across components when allowed and
+/// worthwhile (each component's search is self-contained and serial).
+/// Results are bit-identical to the serial path.
 ///
 /// In budgeted mode (the default) this never fails: over-budget
 /// components are truncated to their heaviest matchings with the
@@ -685,83 +681,34 @@ pub fn enumerate_components(
     path: &str,
 ) -> Result<Vec<ComponentOutcome>, TooManyMatchings> {
     let budgets = component_budgets(&components, options);
-    let components: Vec<Arc<Component>> = components.into_iter().map(Arc::new).collect();
-    let threads = options.parallelism.effective();
     let busy = components
         .iter()
         .filter(|c| c.possible.len() >= MIN_PARALLEL_PAIRS)
         .count();
-    if threads > 1 && busy >= 2 {
-        let results = enumerate_parallel(
-            &components,
-            options,
-            &budgets,
-            threads.min(components.len()),
-        );
-        components
-            .into_iter()
-            .zip(results)
-            .map(|(component, result)| {
-                result
-                    .map(|e| e.into_outcome(component))
-                    .map_err(|e| e.at_path(path))
-            })
-            .collect()
+    let threads = if busy >= 2 {
+        options.parallelism.effective()
     } else {
-        // Serial over components: a strict-mode failure short-circuits
-        // before later components are enumerated. A single busy
-        // component still gets the whole thread budget, inside its
-        // search.
-        components
-            .into_iter()
-            .zip(&budgets)
-            .map(|(component, &budget)| {
-                enumerate_one(&component, options, budget, threads)
-                    .map(|e| e.into_outcome(component))
-                    .map_err(|e| e.at_path(path))
-            })
-            .collect()
-    }
-}
-
-/// The component-independent part of a [`ComponentOutcome`]: what the
-/// enumerator produced, before the component is moved back in.
-struct Enumerated {
-    matchings: Vec<Matching>,
-    live_pairs: usize,
-    retained_mass: f64,
-    discarded_mass: f64,
-    truncated: bool,
-    frontier: Option<ComponentFrontier>,
-}
-
-impl Enumerated {
-    fn into_outcome(self, component: Arc<Component>) -> ComponentOutcome {
-        ComponentOutcome {
-            component,
-            matchings: self.matchings,
-            live_pairs: self.live_pairs,
-            retained_mass: self.retained_mass,
-            discarded_mass: self.discarded_mass,
-            truncated: self.truncated,
-            frontier: self.frontier,
-        }
-    }
+        1
+    };
+    let components: Vec<Arc<Component>> = components.into_iter().map(Arc::new).collect();
+    try_fan_out(components.len(), threads, |i| {
+        enumerate_one(&components[i], options, budgets[i])
+    })
+    .map_err(|e| e.at_path(path))
 }
 
 /// Enumerate one component under the options' policy, capped at
-/// `max_matchings` (the per-component figure the budget plan assigned),
-/// with up to `threads` expansion workers inside the search.
+/// `max_matchings` (the per-component figure the budget plan assigned).
 fn enumerate_one(
     component: &Arc<Component>,
     options: &IntegrationOptions,
     max_matchings: usize,
-    threads: usize,
-) -> Result<Enumerated, TooManyMatchings> {
+) -> Result<ComponentOutcome, TooManyMatchings> {
     if options.strict_matchings {
         let live_pairs = live_candidates(component).len();
         let matchings = enumerate_matchings(component, max_matchings)?;
-        Ok(Enumerated {
+        Ok(ComponentOutcome {
+            component: Arc::clone(component),
             matchings,
             live_pairs,
             retained_mass: 1.0,
@@ -775,8 +722,9 @@ fn enumerate_one(
             min_retained_mass: options.min_retained_mass,
         };
         let mut enumerator = FrontierEnumerator::new(Arc::clone(component));
-        let result = enumerator.run_with(&budget, threads);
-        Ok(Enumerated {
+        let result = enumerator.run(&budget);
+        Ok(ComponentOutcome {
+            component: Arc::clone(component),
             frontier: enumerator.into_frontier(),
             matchings: result.matchings,
             live_pairs: result.live_pairs,
@@ -838,64 +786,12 @@ pub fn resume_component_delta(
     } else {
         frontier.kept().saturating_add(extra.max(1))
     };
-    let (all, is_new) = enumerator.run_delta(
-        &MatchBudget {
-            max_matchings,
-            min_retained_mass,
-        },
-        1,
-    );
+    let (all, is_new) = enumerator.run_delta(&MatchBudget {
+        max_matchings,
+        min_retained_mass,
+    });
     let left = enumerator.into_frontier();
     Ok(ResumedDelta { all, is_new, left })
-}
-
-/// Fan the components out over scoped worker threads (no extra deps:
-/// plain [`std::thread::scope`]). Workers pull indices from a shared
-/// counter — natural load balancing when component sizes are skewed —
-/// and the results are reassembled in component order, so the output is
-/// identical to the serial path.
-fn enumerate_parallel(
-    components: &[Arc<Component>],
-    options: &IntegrationOptions,
-    budgets: &[usize],
-    threads: usize,
-) -> Vec<Result<Enumerated, TooManyMatchings>> {
-    let next = AtomicUsize::new(0);
-    let (tx, rx) = mpsc::channel();
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            let tx = tx.clone();
-            let next = &next;
-            scope.spawn(move || loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= components.len() {
-                    break;
-                }
-                let outcome = enumerate_one(&components[i], options, budgets[i], 1);
-                if tx.send((i, outcome)).is_err() {
-                    break;
-                }
-            });
-        }
-    });
-    drop(tx);
-    let mut slots: Vec<Option<Result<Enumerated, TooManyMatchings>>> =
-        components.iter().map(|_| None).collect();
-    for (i, outcome) in rx {
-        slots[i] = Some(outcome);
-    }
-    // Every index was claimed exactly once via the atomic counter, so
-    // each slot is filled — unless a worker died before sending (e.g. a
-    // panic unwound across the channel). Enumeration is deterministic,
-    // so re-running the missing component serially yields exactly what
-    // the worker would have produced; no panic, no divergence.
-    slots
-        .into_iter()
-        .enumerate()
-        .map(|(i, slot)| {
-            slot.unwrap_or_else(|| enumerate_one(&components[i], options, budgets[i], 1))
-        })
-        .collect()
 }
 
 #[cfg(test)]

@@ -961,9 +961,9 @@ pub(crate) mod tests {
     }
 
     /// Shared-state audit for the parallel refinement path: worker
-    /// threads hold `&PxDoc` references to both sources while scoped
-    /// expansion workers race inside a component's search, so every
-    /// arena type must be free of interior mutability (`Send + Sync`
+    /// threads preparing different components hold `&PxDoc` references
+    /// to both sources at once, so every arena type must be free of
+    /// interior mutability (`Send + Sync`
     /// by plain data, not by locking). A `Cell`/`RefCell` smuggled into
     /// a node payload would fail this at compile time.
     #[test]

@@ -121,9 +121,18 @@ pub const RULES: &[RuleDoc] = &[
         summary: "locks/interior mutability inside thread::scope",
         scope: "deterministic crates, lib code",
         rationale: "Parallel stages must follow the deterministic-reassembly pattern \
-                    (atomic work counter + channel + reassembly in index order). Locks, \
-                    RefCell, or unsafe inside thread::scope let worker timing leak into \
-                    results.",
+                    (atomic work counter + per-worker results + reassembly in index \
+                    order). Locks, RefCell, or unsafe inside thread::scope let worker \
+                    timing leak into results.",
+    },
+    RuleDoc {
+        id: "thread-fanout",
+        summary: "thread::scope/thread::spawn/mpsc::channel in deterministic code",
+        scope: "deterministic crates, lib code",
+        rationale: "Every parallel stage goes through the one index-ordered fan-out helper \
+                    (`integrate/src/fanout.rs`), which carries the only allow. A second \
+                    hand-rolled pool duplicates its reassembly and panic handling and is \
+                    where worker timing could leak into results.",
     },
     RuleDoc {
         id: "print-in-lib",
@@ -212,6 +221,11 @@ pub fn check_file(role: &FileRole, scrubbed: &Scrubbed) -> Vec<Finding> {
                     "print-in-lib",
                     &["println!(", "eprintln!(", "print!(", "eprint!(", "dbg!("],
                     "stdio write in library code",
+                ),
+                (
+                    "thread-fanout",
+                    &["thread::scope", "thread::spawn", "mpsc::channel"],
+                    "hand-rolled thread fan-out (use fanout::try_fan_out)",
                 ),
             ],
         );
@@ -470,8 +484,8 @@ fn scope_shared_mutation(ctx: &mut Ctx<'_>) {
                         "scope-shared-mutation",
                         idx + off + 1,
                         format!(
-                            "`{}` inside thread::scope — use the work-counter + channel \
-                             reassembly pattern",
+                            "`{}` inside thread::scope — use the work-counter + \
+                             index-ordered reassembly pattern",
                             snippet(line, c)
                         ),
                     );

@@ -153,3 +153,31 @@ fn json_report_shape() {
     assert!(json.contains("\"allowed\":null"));
     assert!(json.trim_end().ends_with(']'));
 }
+
+/// The fan-out helper is the one sanctioned `thread-fanout` site: linted
+/// as it stands its finding is allowed, and with the allow stripped the
+/// same source fails the rule.
+#[test]
+fn fanout_helper_needs_its_allow() {
+    let rel = "crates/integrate/src/fanout.rs";
+    let source = include_str!("../../integrate/src/fanout.rs");
+    let fanout_sites = |findings: &[Finding], allowed: bool| {
+        findings
+            .iter()
+            .filter(|f| f.rule == "thread-fanout" && f.allowed.is_some() == allowed)
+            .count()
+    };
+    let with_allow = lint_source(rel, source);
+    assert!(
+        with_allow.iter().all(|f| f.allowed.is_some()),
+        "{with_allow:#?}"
+    );
+    assert_eq!(fanout_sites(&with_allow, true), 1, "{with_allow:#?}");
+
+    let stripped: String = source
+        .lines()
+        .filter(|l| !l.contains("lint:allow(thread-fanout"))
+        .map(|l| format!("{l}\n"))
+        .collect();
+    assert_eq!(fanout_sites(&lint_source(rel, &stripped), false), 1);
+}

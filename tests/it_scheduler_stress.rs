@@ -36,9 +36,10 @@ impl Lcg {
 
 /// Two n-John address books: one all-undecided n×n matching component —
 /// dozens of distinct refinement schedules under small budgets. `n = 3`
-/// gives 34 matchings; `n = 4` gives 209 *and* crosses the
-/// intra-component parallel threshold (16 live pairs), so refine steps
-/// actually engage the in-search worker pool when threads are granted.
+/// gives 34 matchings; `n = 4` gives 209 over 16 live pairs. Threads
+/// only fan out across components, so granted threads leave this single
+/// component's search serial: the thread-count tests pin that the knob
+/// stays a pure scheduling hint.
 fn engine_with_sized_sources(budget: usize, n: usize) -> (Engine, DocHandle, DocHandle) {
     let book = |prefix: usize| {
         let persons: String = (0..n)
@@ -186,13 +187,13 @@ fn racing_refiners_and_readers_converge_to_the_exhaustive_fingerprint() {
 }
 
 /// Engine-level half of the serial ≡ parallel contract: the *same*
-/// staged refinement schedule, re-run with 2/4/7 intra-component
-/// workers, publishes a bit-identical document after every installment
-/// — not just at convergence.
+/// staged refinement schedule, re-run with 2/4/7 threads granted,
+/// publishes a bit-identical document after every installment — not
+/// just at convergence.
 #[test]
 fn intra_component_thread_counts_are_bitwise_identical() {
     let run = |threads: usize| {
-        // 4×4 book: one 16-live-pair component, past the parallel gate.
+        // 4×4 book: one 16-live-pair component.
         let (engine, a, b) = engine_with_sized_sources(3, 4);
         let (db, stats) = engine.integrate(&a, &b, "db").expect("integrates");
         assert!(!stats.is_exact(), "budget of 3 truncates the 4×4 book");
@@ -227,10 +228,10 @@ fn intra_component_thread_counts_are_bitwise_identical() {
     }
 }
 
-/// Racing refiners that each bring their *own* intra-component worker
-/// pool: optimistic engine rounds interleave parallel searches over the
-/// same component, and the result must still converge to the exhaustive
-/// fingerprint.
+/// Racing refiners that each ask for a different thread count:
+/// optimistic engine rounds interleave searches over the same component
+/// from several threads, and the result must still converge to the
+/// exhaustive fingerprint.
 #[test]
 fn racing_intra_component_workers_converge_to_the_exhaustive_fingerprint() {
     let expected = sized_exhaustive_fingerprint(4);
