@@ -562,8 +562,8 @@ pub fn generate_pairwise(w: &CandidateWorkload, oracle: &Oracle) -> CandidateGen
 }
 
 /// Every cross pair scored, but row-at-a-time through
-/// [`Oracle::judge_row`] so rules amortise their left-hand
-/// preprocessing and the SIMD kernels see batches.
+/// [`Oracle::judge_row`] so the similarity rules normalise each
+/// left-hand value once per row instead of once per pair.
 pub fn generate_batched(w: &CandidateWorkload, oracle: &Oracle) -> CandidateGeneration {
     let mut gen = CandidateGeneration::default();
     let b_refs: Vec<ElemRef<'_>> =

@@ -30,7 +30,7 @@ use crate::matching::{
 };
 use crate::{BlockingMode, BudgetPlan, IntegrationOptions};
 use imprecise_oracle::value::PossibleValues;
-use imprecise_oracle::{BlockingPlan, ElemRef, ElementFeatures, Oracle, PruneFilter};
+use imprecise_oracle::{BlockingPlan, ElemRef, ElementFeatures, Oracle, Rule};
 use imprecise_pxml::{PxDoc, PxNodeId};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
@@ -94,7 +94,7 @@ pub struct BlockedPairs {
     /// Surviving `(a_index, b_index)` pairs in row-major order — exactly
     /// the iteration order of the unblocked double loop.
     pub pairs: Vec<(usize, usize)>,
-    /// Pairs dropped by recall-safe filters (provable `NonMatch`es).
+    /// Pairs dropped by recall-safe blocking (provable `NonMatch`es).
     pub pruned: usize,
     /// Pairs dropped unexamined by heuristic windowing (recall risk).
     pub windowed_out: usize,
@@ -104,9 +104,9 @@ pub struct BlockedPairs {
 /// without judging the full cross product.
 ///
 /// In [`BlockingMode::RecallSafe`] the surviving pairs contain every
-/// pair the oracle would not certainly reject: the plan's equality
-/// filter (if any) becomes a hash join over certain key values and the
-/// remaining filters run on cheap precomputed features, so generation
+/// pair the oracle would not certainly reject: the plan's first equality
+/// rule (if any) becomes a hash join over certain key values and the
+/// remaining rules run on cheap precomputed features, so generation
 /// is sub-quadratic whenever keys spread the group into small buckets.
 /// Pruned pairs are provably `NonMatch` (see
 /// [`imprecise_oracle::BlockingPlan`]), so downstream output is
@@ -187,8 +187,8 @@ fn recall_safe_pairs(
     if plan.is_empty() {
         return cross_product(fa.len(), fb.len());
     }
-    let Some(join) = plan.join_filter() else {
-        // No equality filter to join on: scan the cross product with the
+    let Some(join) = plan.join_rule() else {
+        // No equality rule to join on: scan the cross product with the
         // cheap feature predicate (still zero oracle calls per pruned pair).
         let mut pairs = Vec::new();
         for (ai, ffa) in fa.iter().enumerate() {
@@ -200,8 +200,8 @@ fn recall_safe_pairs(
         }
         return pairs;
     };
-    // Hash-join on the equality filter's certain keys. Elements without
-    // certain keys are "wild": that filter can never prune them, so they
+    // Hash-join on the equality rule's certain keys. Elements without
+    // certain keys are "wild": that rule can never prune them, so they
     // pair with everything.
     let mut buckets: BTreeMap<&str, Vec<usize>> = BTreeMap::new();
     let mut wild_b: Vec<usize> = Vec::new();
@@ -282,7 +282,7 @@ fn window_pairs(
 }
 
 /// The key heuristic windowing sorts elements by: the first value of the
-/// plan's first similarity filter (where near-matches share prefixes),
+/// plan's first similarity rule (where near-matches share prefixes),
 /// else the first equality key, else the element's own text.
 fn window_key(plan: &BlockingPlan, e: &ElemRef<'_>) -> String {
     const KEY_CAP: usize = 4;
@@ -290,26 +290,25 @@ fn window_key(plan: &BlockingPlan, e: &ElemRef<'_>) -> String {
         PossibleValues::Values(vs) => vs.into_iter().next(),
         _ => None,
     };
+    let own_text = || {
+        e.possible_own_texts(KEY_CAP)
+            .and_then(|t| t.into_iter().next())
+    };
     let key = plan
-        .filters()
+        .rules()
         .iter()
-        .find_map(|f| match f {
-            PruneFilter::SimilarityBelow { value_path, .. } => first_value(value_path),
+        .find_map(|r| match r {
+            Rule::Similarity(r) => first_value(&r.value_path),
             _ => None,
         })
         .or_else(|| {
-            plan.filters().iter().find_map(|f| match f {
-                PruneFilter::KeyDiffers { value_path } => first_value(value_path),
-                PruneFilter::TextDiffers => e
-                    .possible_own_texts(KEY_CAP)
-                    .and_then(|t| t.into_iter().next()),
-                PruneFilter::SimilarityBelow { .. } => None,
+            plan.rules().iter().find_map(|r| match r {
+                Rule::KeyInequality(r) => first_value(&r.value_path),
+                Rule::ExactText(_) => own_text(),
+                Rule::Similarity(_) | Rule::DeepEqual(_) => None,
             })
         })
-        .or_else(|| {
-            e.possible_own_texts(KEY_CAP)
-                .and_then(|t| t.into_iter().next())
-        });
+        .or_else(own_text);
     key.unwrap_or_default().trim().to_lowercase()
 }
 

@@ -13,34 +13,39 @@
 //!
 //! # How soundness is derived
 //!
-//! Each rule reports a [`BlockingHint`]. Walking the rule list in
-//! consultation order for one element tag:
+//! The plan walks the Oracle's closed [`Rule`] list in consultation order
+//! for one element tag and keeps the rules it can prune on:
 //!
-//! * [`BlockingHint::Transparent`] rules (deep-equal) only ever `Match`
-//!   content-identical pairs. No filter below can prune such a pair —
-//!   equality filters see a shared value pairing, and similarity filters
-//!   bound `sim(x, x) = 1 ≥ threshold` — so collection continues.
-//! * Tag-gated rules for a *different* tag abstain on every pair of this
-//!   tag; collection continues.
-//! * Tag-gated rules for *this* tag contribute their `NonMatch` condition
-//!   as a [`PruneFilter`] (an under-approximation: the filter fires only
-//!   where the rule certainly fires). A rule that can also `Match`
-//!   (exact-text) ends collection after contributing, because a later
-//!   filter could otherwise prune a pair this rule would have matched.
-//! * Unknown ([`BlockingHint::Opaque`]) rules end collection.
+//! * [`Rule::DeepEqual`] only ever `Match`es content-identical pairs. No
+//!   rule kept below can prune such a pair — equality rules see a shared
+//!   value pairing, and similarity rules bound `sim(x, x) = 1 ≥
+//!   threshold` — so the walk continues.
+//! * Rules gated on a *different* tag abstain on every pair of this tag;
+//!   the walk continues.
+//! * Key-inequality and similarity rules for *this* tag are kept: the plan
+//!   prunes a pair only where the rule certainly decides `NonMatch` (an
+//!   under-approximation). A similarity threshold above 1 rejects even
+//!   identical values, which contradicts deep-equal transparency, so such
+//!   a rule is passed over.
+//! * An exact-text rule for *this* tag is kept and ends the walk: it can
+//!   also `Match`, and a later rule could otherwise prune a pair it would
+//!   have matched.
 //!
-//! Similarity filters compare *upper bounds*: exact values where the
+//! Because the rule set is closed, every rule has one of these behaviours;
+//! there is no rule of unknown shape to stop at.
+//!
+//! Similarity rules prune on *upper bounds*: exact values where the
 //! measure is set arithmetic (Jaccard, Dice), and length/q-gram/character
 //! -multiset bounds for the edit-based measures, padded with a slack that
 //! absorbs any f64 rounding asymmetry. When a cheap bound is too loose to
-//! prune, the edit-based filters fall back to evaluating the measure
+//! prune, the edit-based measures fall back to evaluating the measure
 //! itself on the precomputed (normalised) values — still a fraction of a
 //! full oracle consultation, and the price of keeping the scored set
 //! near-linear on workloads the q-gram bound cannot separate. A pair is
 //! pruned only when every possible-value pairing is provably below the
 //! rule's threshold.
 
-use crate::rules::{Rule, SimMeasure};
+use crate::rules::{PreparedMeasure, Rule, SimMeasure};
 use crate::value::{ElemRef, PossibleValues};
 use imprecise_sim as sim;
 use std::collections::BTreeSet;
@@ -54,94 +59,34 @@ use crate::rules::VALUE_VARIANT_CAP;
 /// borderline pairs, never drops them.
 const UB_SLACK: f64 = 1e-9;
 
-/// How a rule behaves for blocking purposes. See the module docs for how
-/// the plan derivation consumes these.
-#[derive(Debug, Clone)]
-pub enum BlockingHint {
-    /// Decides `Match` only on content-identical pairs and never decides
-    /// `NonMatch`; invisible to every filter below it.
-    Transparent,
-    /// Abstains unless both elements have `tag`; may decide `NonMatch`
-    /// exactly where `filter` fires, and can decide `Match` at all only
-    /// if `decides_match`.
-    TagGated {
-        /// Tag the rule is gated on.
-        tag: String,
-        /// Sound under-approximation of the rule's `NonMatch` condition,
-        /// if one is extractable.
-        filter: Option<PruneFilter>,
-        /// Whether the rule can ever decide `Match`.
-        decides_match: bool,
-    },
-    /// Behaviour unknown; blocks filter collection at this point.
-    Opaque,
-}
-
-/// One prunable `NonMatch` condition, evaluated on cached features.
-#[derive(Debug, Clone, PartialEq)]
-pub enum PruneFilter {
-    /// Every pairing of trimmed key values differs (key-inequality rules).
-    KeyDiffers {
-        /// Path from the element to the key value.
-        value_path: String,
-    },
-    /// Every pairing of own-text values differs (exact-text rules).
-    TextDiffers,
-    /// Every pairing of values is provably below the threshold.
-    SimilarityBelow {
-        /// Path from the element to the compared value.
-        value_path: String,
-        /// The rule's threshold.
-        threshold: f64,
-        /// The rule's measure (selects the upper-bound features).
-        measure: SimMeasure,
-    },
-}
-
-impl PruneFilter {
-    /// Whether this filter prunes on pure value equality, making it
-    /// usable as a hash-join key by the candidate generator.
-    pub fn is_equality(&self) -> bool {
-        matches!(
-            self,
-            PruneFilter::KeyDiffers { .. } | PruneFilter::TextDiffers
-        )
-    }
-}
-
-/// The prefilters that are sound for one element tag under one oracle.
+/// The rules that are sound to prune on for one element tag under one
+/// oracle.
 #[derive(Debug, Clone)]
 pub struct BlockingPlan {
     tag: String,
-    filters: Vec<PruneFilter>,
+    rules: Vec<Rule>,
 }
 
 impl BlockingPlan {
     /// Derive the plan for `tag` by walking `rules` in consultation order.
-    pub(crate) fn derive(rules: &[Box<dyn Rule>], tag: &str) -> BlockingPlan {
-        let mut filters = Vec::new();
+    pub(crate) fn derive(rules: &[Rule], tag: &str) -> BlockingPlan {
+        let mut kept = Vec::new();
         for rule in rules {
-            match rule.blocking_hint() {
-                BlockingHint::Transparent => continue,
-                BlockingHint::TagGated { tag: t, .. } if t != tag => continue,
-                BlockingHint::TagGated {
-                    filter,
-                    decides_match,
-                    ..
-                } => {
-                    if let Some(f) = filter {
-                        filters.push(f);
-                    }
-                    if decides_match {
-                        break;
-                    }
+            match rule {
+                Rule::ExactText(r) if r.tag == tag => {
+                    kept.push(rule.clone());
+                    break;
                 }
-                BlockingHint::Opaque => break,
+                Rule::Similarity(r) if r.tag == tag && r.threshold <= 1.0 => {
+                    kept.push(rule.clone())
+                }
+                Rule::KeyInequality(r) if r.tag == tag => kept.push(rule.clone()),
+                _ => {}
             }
         }
         BlockingPlan {
             tag: tag.to_string(),
-            filters,
+            rules: kept,
         }
     }
 
@@ -150,119 +95,120 @@ impl BlockingPlan {
         &self.tag
     }
 
-    /// The collected filters, in rule-consultation order.
-    pub fn filters(&self) -> &[PruneFilter] {
-        &self.filters
+    /// The rules the plan prunes on, in consultation order.
+    pub fn rules(&self) -> &[Rule] {
+        &self.rules
     }
 
     /// Whether the plan can prune anything at all.
     pub fn is_empty(&self) -> bool {
-        self.filters.is_empty()
+        self.rules.is_empty()
     }
 
-    /// Index of the first equality filter — the natural hash-join key for
+    /// Index of the first rule that prunes on value equality
+    /// (key-inequality or exact-text) — the natural hash-join key for
     /// sub-quadratic pair generation.
-    pub fn join_filter(&self) -> Option<usize> {
-        self.filters.iter().position(PruneFilter::is_equality)
+    pub fn join_rule(&self) -> Option<usize> {
+        self.rules
+            .iter()
+            .position(|r| matches!(r, Rule::KeyInequality(_) | Rule::ExactText(_)))
     }
 
     /// Extract this plan's per-element features. Cheap for elements of
-    /// another tag (every filter becomes inapplicable and never prunes).
+    /// another tag (every rule becomes inapplicable and never prunes).
     pub fn features(&self, e: &ElemRef<'_>) -> ElementFeatures {
         if e.tag() != self.tag {
             return ElementFeatures {
-                per_filter: vec![FilterFeatures::Inapplicable; self.filters.len()],
+                per_rule: vec![RuleFeatures::Inapplicable; self.rules.len()],
             };
         }
-        let per_filter = self
-            .filters
+        let values = |path: &str| match e.possible_values_at(path, VALUE_VARIANT_CAP) {
+            PossibleValues::Values(vs) if !vs.is_empty() => Some(vs),
+            _ => None,
+        };
+        let per_rule = self
+            .rules
             .iter()
-            .map(|f| match f {
-                PruneFilter::KeyDiffers { value_path } => {
-                    match e.possible_values_at(value_path, VALUE_VARIANT_CAP) {
-                        PossibleValues::Values(vs) if !vs.is_empty() => FilterFeatures::Equality(
-                            vs.iter().map(|v| v.trim().to_string()).collect(),
-                        ),
-                        _ => FilterFeatures::Inapplicable,
-                    }
-                }
-                PruneFilter::TextDiffers => match e.possible_own_texts(VALUE_VARIANT_CAP) {
-                    Some(ts) if !ts.is_empty() => FilterFeatures::Equality(ts),
-                    _ => FilterFeatures::Inapplicable,
-                },
-                PruneFilter::SimilarityBelow {
-                    value_path,
-                    measure,
-                    ..
-                } => match e.possible_values_at(value_path, VALUE_VARIANT_CAP) {
-                    PossibleValues::Values(vs) if !vs.is_empty() => FilterFeatures::Similarity(
-                        vs.iter().map(|v| SimFeature::new(*measure, v)).collect(),
-                    ),
-                    _ => FilterFeatures::Inapplicable,
-                },
+            .map(|rule| {
+                let features = match rule {
+                    Rule::KeyInequality(r) => values(&r.value_path).map(|vs| {
+                        RuleFeatures::Equality(vs.iter().map(|v| v.trim().to_string()).collect())
+                    }),
+                    Rule::ExactText(_) => e
+                        .possible_own_texts(VALUE_VARIANT_CAP)
+                        .filter(|ts| !ts.is_empty())
+                        .map(RuleFeatures::Equality),
+                    Rule::Similarity(r) => values(&r.value_path).map(|vs| {
+                        RuleFeatures::Similarity(
+                            vs.iter().map(|v| SimFeature::new(r.measure, v)).collect(),
+                        )
+                    }),
+                    Rule::DeepEqual(_) => None,
+                };
+                features.unwrap_or(RuleFeatures::Inapplicable)
             })
             .collect();
-        ElementFeatures { per_filter }
+        ElementFeatures { per_rule }
     }
 
     /// Whether the pair `(a, b)` is provably a `NonMatch` for the oracle
     /// this plan was derived from.
     pub fn prunes(&self, a: &ElementFeatures, b: &ElementFeatures) -> bool {
-        self.filters
+        self.rules
             .iter()
-            .zip(a.per_filter.iter().zip(&b.per_filter))
-            .any(|(f, (fa, fb))| filter_fires(f, fa, fb))
+            .zip(a.per_rule.iter().zip(&b.per_rule))
+            .any(|(r, (fa, fb))| rule_fires(r, fa, fb))
     }
 }
 
-/// Per-element cached inputs to one plan's filters, index-aligned with
-/// [`BlockingPlan::filters`].
+/// Per-element cached inputs to one plan's rules, index-aligned with
+/// [`BlockingPlan::rules`].
 #[derive(Debug, Clone)]
 pub struct ElementFeatures {
-    per_filter: Vec<FilterFeatures>,
+    per_rule: Vec<RuleFeatures>,
 }
 
 impl ElementFeatures {
-    /// Join keys for an equality filter: `Some(values)` when the element
-    /// has certain values there, `None` when the filter cannot prune this
+    /// Join keys for an equality rule: `Some(values)` when the element
+    /// has certain values there, `None` when the rule cannot prune this
     /// element (uncertain/missing value — must pair with everything).
-    pub fn join_keys(&self, filter_idx: usize) -> Option<&[String]> {
-        match self.per_filter.get(filter_idx) {
-            Some(FilterFeatures::Equality(ks)) => Some(ks),
+    pub fn join_keys(&self, rule_idx: usize) -> Option<&[String]> {
+        match self.per_rule.get(rule_idx) {
+            Some(RuleFeatures::Equality(ks)) => Some(ks),
             _ => None,
         }
     }
 }
 
 #[derive(Debug, Clone)]
-enum FilterFeatures {
-    /// The filter abstains for this element (wrong tag, missing or
+enum RuleFeatures {
+    /// The rule abstains for this element (wrong tag, missing or
     /// uncertain value) and must never prune a pair involving it.
     Inapplicable,
-    /// Certain values for an equality filter, trimmed where the rule
-    /// trims.
+    /// Certain values for an equality rule, trimmed where the rule trims.
     Equality(Vec<String>),
     /// Upper-bound features, one per possible value.
     Similarity(Vec<SimFeature>),
 }
 
-fn filter_fires(f: &PruneFilter, a: &FilterFeatures, b: &FilterFeatures) -> bool {
-    match (f, a, b) {
+/// Whether `rule` certainly decides `NonMatch` on a pair with these
+/// features: every pairing of values differs, or is provably below the
+/// similarity threshold.
+fn rule_fires(rule: &Rule, a: &RuleFeatures, b: &RuleFeatures) -> bool {
+    match (rule, a, b) {
         (
-            PruneFilter::KeyDiffers { .. } | PruneFilter::TextDiffers,
-            FilterFeatures::Equality(ka),
-            FilterFeatures::Equality(kb),
+            Rule::KeyInequality(_) | Rule::ExactText(_),
+            RuleFeatures::Equality(ka),
+            RuleFeatures::Equality(kb),
         ) => ka.iter().all(|x| kb.iter().all(|y| x != y)),
-        (
-            PruneFilter::SimilarityBelow { threshold, .. },
-            FilterFeatures::Similarity(sa),
-            FilterFeatures::Similarity(sb),
-        ) => sa.iter().all(|x| {
-            sb.iter().all(|y| {
-                x.upper_bound(y) < *threshold
-                    || x.exact(y).is_some_and(|v| v + UB_SLACK < *threshold)
+        (Rule::Similarity(r), RuleFeatures::Similarity(sa), RuleFeatures::Similarity(sb)) => {
+            sa.iter().all(|x| {
+                sb.iter().all(|y| {
+                    x.upper_bound(y) < r.threshold
+                        || x.exact(y).is_some_and(|v| v + UB_SLACK < r.threshold)
+                })
             })
-        }),
+        }
         _ => false,
     }
 }
@@ -312,30 +258,6 @@ fn char_counts(s: &str) -> Vec<(char, usize)> {
     sorted_counts(s.chars().collect())
 }
 
-/// Jaccard over sorted, deduplicated token vectors — the same
-/// intersection and union counts (and therefore the same f64 bits) as
-/// [`sim::jaccard_token_sets`] on the corresponding sets, via a
-/// two-pointer merge instead of tree walks.
-fn jaccard_sorted(a: &[String], b: &[String]) -> f64 {
-    if a.is_empty() && b.is_empty() {
-        return 1.0;
-    }
-    let (mut i, mut j, mut common) = (0, 0, 0usize);
-    while i < a.len() && j < b.len() {
-        match a[i].cmp(&b[j]) {
-            std::cmp::Ordering::Less => i += 1,
-            std::cmp::Ordering::Greater => j += 1,
-            std::cmp::Ordering::Equal => {
-                common += 1;
-                i += 1;
-                j += 1;
-            }
-        }
-    }
-    let union = a.len() + b.len() - common;
-    common as f64 / union as f64
-}
-
 /// Upper bound on `1 − d/max_len` from two edit-distance lower bounds:
 /// the length difference and the q-gram (q = 2) bound
 /// `d ≥ ⌈(max_grams − common_grams) / 2⌉`.
@@ -351,35 +273,29 @@ fn lev_similarity_ub(ca: usize, cb: usize, ba: &Bigrams, bb: &Bigrams) -> f64 {
     1.0 - d_lb as f64 / max_len as f64
 }
 
-/// Precomputed per-value features for one similarity measure, supporting
-/// a sound (never smaller than the true similarity) pairwise upper bound.
+/// Precomputed per-value features for one similarity measure: the
+/// prepared value the measure itself compares, plus the features of a
+/// sound (never smaller than the true similarity) pairwise upper bound.
 #[derive(Debug, Clone)]
-enum SimFeature {
-    Title {
-        norm: String,
-        tokens: Vec<String>,
-        chars: usize,
-        grams: Bigrams,
-    },
-    PersonName {
-        norm: String,
-        chars: usize,
-        counts: Vec<(char, usize)>,
-    },
-    Levenshtein {
-        value: String,
-        chars: usize,
-        grams: Bigrams,
-    },
-    JaroWinkler {
-        value: String,
+struct SimFeature {
+    prepared: PreparedMeasure,
+    bound: BoundFeatures,
+}
+
+#[derive(Debug, Clone)]
+enum BoundFeatures {
+    /// Length and bigram multiset of the compared text (Levenshtein, and
+    /// the edit half of the title measure).
+    Edit { chars: usize, grams: Bigrams },
+    /// Length and character multiset (Jaro-Winkler, person names).
+    Jaro {
         chars: usize,
         counts: Vec<(char, usize)>,
     },
-    TokenJaccard {
-        tokens: Vec<String>,
-    },
-    TrigramDice {
+    /// Token set (token Jaccard).
+    Tokens(Vec<String>),
+    /// Lowercase form and trigram set (trigram Dice).
+    Trigrams {
         lower: String,
         trigrams: BTreeSet<Vec<char>>,
     },
@@ -387,115 +303,73 @@ enum SimFeature {
 
 impl SimFeature {
     fn new(measure: SimMeasure, v: &str) -> SimFeature {
-        match measure {
-            SimMeasure::Title => {
-                let n = sim::normalize_title(v);
-                SimFeature::Title {
-                    tokens: sim::token_set(&n).into_iter().collect(),
-                    chars: n.chars().count(),
-                    grams: bigrams(&n),
-                    norm: n,
-                }
-            }
-            SimMeasure::PersonName => {
-                let n = sim::normalize_person_name(v);
-                SimFeature::PersonName {
-                    chars: n.chars().count(),
-                    counts: char_counts(&n),
-                    norm: n,
-                }
-            }
-            SimMeasure::Levenshtein => SimFeature::Levenshtein {
-                value: v.to_string(),
-                chars: v.chars().count(),
-                grams: bigrams(v),
+        let prepared = measure.prepare(v);
+        let text = prepared.text();
+        let bound = match measure {
+            SimMeasure::Title | SimMeasure::Levenshtein => BoundFeatures::Edit {
+                chars: text.chars().count(),
+                grams: bigrams(text),
             },
-            SimMeasure::JaroWinkler => SimFeature::JaroWinkler {
-                value: v.to_string(),
-                chars: v.chars().count(),
-                counts: char_counts(v),
+            SimMeasure::PersonName | SimMeasure::JaroWinkler => BoundFeatures::Jaro {
+                chars: text.chars().count(),
+                counts: char_counts(text),
             },
-            SimMeasure::TokenJaccard => SimFeature::TokenJaccard {
-                tokens: sim::token_set(v).into_iter().collect(),
-            },
+            SimMeasure::TokenJaccard => BoundFeatures::Tokens(sim::token_set(v)),
             SimMeasure::TrigramDice => {
                 let lower = v.to_lowercase();
                 let trigrams = sim::token::trigram_set(&lower);
-                SimFeature::TrigramDice { lower, trigrams }
+                BoundFeatures::Trigrams { lower, trigrams }
             }
-        }
+        };
+        SimFeature { prepared, bound }
     }
 
     /// An upper bound on the measure applied to the two underlying
     /// values. Mismatched feature kinds (impossible through
     /// [`BlockingPlan::features`]) return `1.0`, which never prunes.
     fn upper_bound(&self, other: &SimFeature) -> f64 {
-        match (self, other) {
+        match (&self.bound, &other.bound) {
             (
-                SimFeature::Title {
-                    tokens: ta,
+                BoundFeatures::Edit {
                     chars: ca,
                     grams: ga,
-                    ..
                 },
-                SimFeature::Title {
-                    tokens: tb,
+                BoundFeatures::Edit {
                     chars: cb,
                     grams: gb,
-                    ..
                 },
             ) => {
+                let edit = lev_similarity_ub(*ca, *cb, ga, gb);
                 // title_similarity = max(token Jaccard, Levenshtein sim)
                 // on the normalised titles: Jaccard is exact here, the
                 // edit part is bounded.
-                let jac = jaccard_sorted(ta, tb);
-                jac.max(lev_similarity_ub(*ca, *cb, ga, gb)) + UB_SLACK
+                let ub = match (&self.prepared, &other.prepared) {
+                    (PreparedMeasure::Title(a), PreparedMeasure::Title(b)) => {
+                        sim::jaccard_token_sets(a.tokens(), b.tokens()).max(edit)
+                    }
+                    _ => edit,
+                };
+                ub + UB_SLACK
             }
             (
-                SimFeature::PersonName {
+                BoundFeatures::Jaro {
                     chars: ca,
                     counts: na,
-                    ..
                 },
-                SimFeature::PersonName {
+                BoundFeatures::Jaro {
                     chars: cb,
                     counts: nb,
-                    ..
-                },
-            )
-            | (
-                SimFeature::JaroWinkler {
-                    chars: ca,
-                    counts: na,
-                    ..
-                },
-                SimFeature::JaroWinkler {
-                    chars: cb,
-                    counts: nb,
-                    ..
                 },
             ) => jaro_winkler_ub(*ca, *cb, na, nb),
-            (
-                SimFeature::Levenshtein {
-                    chars: ca,
-                    grams: ga,
-                    ..
-                },
-                SimFeature::Levenshtein {
-                    chars: cb,
-                    grams: gb,
-                    ..
-                },
-            ) => lev_similarity_ub(*ca, *cb, ga, gb) + UB_SLACK,
-            (SimFeature::TokenJaccard { tokens: ta }, SimFeature::TokenJaccard { tokens: tb }) => {
-                jaccard_sorted(ta, tb) + UB_SLACK
+            (BoundFeatures::Tokens(ta), BoundFeatures::Tokens(tb)) => {
+                sim::jaccard_token_sets(ta, tb) + UB_SLACK
             }
             (
-                SimFeature::TrigramDice {
+                BoundFeatures::Trigrams {
                     lower: la,
                     trigrams: ta,
                 },
-                SimFeature::TrigramDice {
+                BoundFeatures::Trigrams {
                     lower: lb,
                     trigrams: tb,
                 },
@@ -504,49 +378,18 @@ impl SimFeature {
         }
     }
 
-    /// The measure itself, evaluated on the stored (already-normalised)
-    /// values — the tight fallback [`filter_fires`] uses when the cheap
-    /// bound cannot prune. `None` for the set-arithmetic measures, whose
-    /// "bound" already *is* the measure, and for mismatched kinds.
-    ///
-    /// Each arm replays exactly what [`SimMeasure::apply`] computes after
-    /// its normalisation step (including the both-empty short-circuits),
-    /// so the returned value equals the rule's own similarity bitwise.
+    /// The measure itself, evaluated on the prepared values — the tight
+    /// fallback [`rule_fires`] uses when the cheap bound cannot prune.
+    /// `None` for the set-arithmetic measures, whose "bound" already *is*
+    /// the measure. Bit-identical to the rule's own similarity, because
+    /// [`PreparedMeasure::similarity`] ends in the same `sim` function as
+    /// [`SimMeasure::apply`].
     fn exact(&self, other: &SimFeature) -> Option<f64> {
-        match (self, other) {
-            (
-                SimFeature::Title {
-                    norm: na,
-                    tokens: ta,
-                    ..
-                },
-                SimFeature::Title {
-                    norm: nb,
-                    tokens: tb,
-                    ..
-                },
-            ) => {
-                if na.is_empty() && nb.is_empty() {
-                    return Some(1.0);
-                }
-                Some(jaccard_sorted(ta, tb).max(sim::levenshtein_similarity(na, nb)))
-            }
-            (SimFeature::PersonName { norm: na, .. }, SimFeature::PersonName { norm: nb, .. }) => {
-                if na.is_empty() && nb.is_empty() {
-                    return Some(1.0);
-                }
-                Some(sim::jaro_winkler(na, nb))
-            }
-            (
-                SimFeature::Levenshtein { value: va, .. },
-                SimFeature::Levenshtein { value: vb, .. },
-            ) => Some(sim::levenshtein_similarity(va, vb)),
-            (
-                SimFeature::JaroWinkler { value: va, .. },
-                SimFeature::JaroWinkler { value: vb, .. },
-            ) => Some(sim::jaro_winkler(va, vb)),
-            _ => None,
-        }
+        matches!(
+            self.bound,
+            BoundFeatures::Edit { .. } | BoundFeatures::Jaro { .. }
+        )
+        .then(|| self.prepared.similarity(&other.prepared))
     }
 }
 
@@ -594,70 +437,49 @@ mod tests {
 
     fn movie_oracle_like() -> Oracle {
         let mut o = Oracle::uninformed();
-        o.push_rule(Box::new(DeepEqualRule));
-        o.push_rule(Box::new(ExactTextRule::new("genre")));
-        o.push_rule(Box::new(SimilarityThresholdRule::movie_title(0.55)));
-        o.push_rule(Box::new(KeyInequalityRule::movie_year()));
+        o.push_rule(DeepEqualRule);
+        o.push_rule(ExactTextRule::new("genre"));
+        o.push_rule(SimilarityThresholdRule::movie_title(0.55));
+        o.push_rule(KeyInequalityRule::movie_year());
         o
     }
 
     #[test]
     fn plan_collects_movie_filters_past_transparent_rules() {
         let plan = movie_oracle_like().blocking_plan("movie");
-        assert_eq!(plan.filters().len(), 2, "title similarity + year key");
-        assert!(matches!(
-            plan.filters()[0],
-            PruneFilter::SimilarityBelow { .. }
-        ));
-        assert!(matches!(plan.filters()[1], PruneFilter::KeyDiffers { .. }));
-        assert_eq!(plan.join_filter(), Some(1));
+        assert_eq!(plan.rules().len(), 2, "title similarity + year key");
+        assert!(matches!(plan.rules()[0], Rule::Similarity(_)));
+        assert!(matches!(plan.rules()[1], Rule::KeyInequality(_)));
+        assert_eq!(plan.join_rule(), Some(1));
     }
 
     #[test]
     fn plan_stops_at_match_capable_rules() {
         // The genre exact-text rule can Match, so for the `genre` tag only
-        // its own filter is collected even with later genre-gated rules.
+        // that rule is kept even with later genre-gated rules.
         let mut o = movie_oracle_like();
-        o.push_rule(Box::new(KeyInequalityRule {
+        o.push_rule(KeyInequalityRule {
             rule_name: "genre-key".into(),
             tag: "genre".into(),
             value_path: ".".into(),
-        }));
+        });
         let plan = o.blocking_plan("genre");
-        assert_eq!(plan.filters(), &[PruneFilter::TextDiffers]);
-    }
-
-    #[test]
-    fn unknown_rules_block_collection() {
-        struct Mystery;
-        impl Rule for Mystery {
-            fn name(&self) -> &str {
-                "mystery"
-            }
-            fn judge(&self, _: &ElemRef<'_>, _: &ElemRef<'_>) -> Option<crate::Decision> {
-                None
-            }
-        }
-        let mut o = Oracle::uninformed();
-        o.push_rule(Box::new(Mystery));
-        o.push_rule(Box::new(SimilarityThresholdRule::movie_title(0.55)));
-        let plan = o.blocking_plan("movie");
-        assert!(plan.is_empty(), "opaque rule must stop collection");
+        assert!(matches!(plan.rules(), [Rule::ExactText(_)]));
     }
 
     #[test]
     fn over_unit_thresholds_emit_no_filter() {
         // threshold > 1 makes the rule reject even identical titles,
-        // which conflicts with deep-equal transparency — no filter.
+        // which conflicts with deep-equal transparency — not kept.
         let mut o = Oracle::uninformed();
-        o.push_rule(Box::new(DeepEqualRule));
-        o.push_rule(Box::new(SimilarityThresholdRule {
+        o.push_rule(DeepEqualRule);
+        o.push_rule(SimilarityThresholdRule {
             rule_name: "impossible".into(),
             tag: "movie".into(),
             value_path: "title".into(),
             threshold: 1.5,
             measure: SimMeasure::Title,
-        }));
+        });
         assert!(o.blocking_plan("movie").is_empty());
     }
 

@@ -20,12 +20,15 @@
 //!
 //! | Directive | Meaning |
 //! |---|---|
-//! | `rule deep-equal` | [`crate::rules::DeepEqualRule`] |
-//! | `rule exact-text <tag>` | [`crate::rules::ExactTextRule`] |
-//! | `rule similarity <tag> <path> >= <θ> [using <measure>]` | [`crate::rules::SimilarityThresholdRule`] (reject below θ) |
-//! | `rule key <tag> <path>` | [`crate::rules::KeyInequalityRule`] |
-//! | `prior uniform [p]` | [`crate::prior::UniformPrior`] |
-//! | `prior similarity <tag> <path> range <lo> <hi> [using <measure>]` | [`crate::prior::SimilarityPrior`] |
+//! | `rule deep-equal` | [`crate::Rule::DeepEqual`] |
+//! | `rule exact-text <tag>` | [`crate::Rule::ExactText`] |
+//! | `rule similarity <tag> <path> >= <θ> [using <measure>]` | [`crate::Rule::Similarity`] (reject below θ) |
+//! | `rule key <tag> <path>` | [`crate::Rule::KeyInequality`] |
+//! | `prior uniform [p]` | [`crate::Prior::Uniform`] |
+//! | `prior similarity <tag> <path> range <lo> <hi> [using <measure>]` | [`crate::Prior::Similarity`] |
+//!
+//! Each directive builds one variant of the closed rule or prior enum, so
+//! a rule file can express exactly the rules judging and blocking know.
 //!
 //! Measures: `title`, `person-name`, `levenshtein`, `jaro-winkler`,
 //! `token-jaccard`, `trigram-dice` (default `levenshtein`; the `<tag>` of
@@ -105,12 +108,12 @@ fn parse_rule(args: &[&str], line: usize, oracle: &mut Oracle) -> Result<(), Dsl
     match args.first() {
         Some(&"deep-equal") => {
             expect_len(args, 1, line, "rule deep-equal")?;
-            oracle.push_rule(Box::new(DeepEqualRule));
+            oracle.push_rule(DeepEqualRule);
             Ok(())
         }
         Some(&"exact-text") => {
             expect_len(args, 2, line, "rule exact-text <tag>")?;
-            oracle.push_rule(Box::new(ExactTextRule::new(args[1])));
+            oracle.push_rule(ExactTextRule::new(args[1]));
             Ok(())
         }
         Some(&"similarity") => {
@@ -126,22 +129,22 @@ fn parse_rule(args: &[&str], line: usize, oracle: &mut Oracle) -> Result<(), Dsl
             }
             let threshold = parse_prob(args[4], line, "threshold")?;
             let measure = parse_optional_measure(&args[5..], line)?;
-            oracle.push_rule(Box::new(SimilarityThresholdRule {
+            oracle.push_rule(SimilarityThresholdRule {
                 rule_name: format!("{}-{}", args[1], args[2].replace('/', "-")),
                 tag: args[1].to_string(),
                 value_path: args[2].to_string(),
                 threshold,
                 measure,
-            }));
+            });
             Ok(())
         }
         Some(&"key") => {
             expect_len(args, 3, line, "rule key <tag> <path>")?;
-            oracle.push_rule(Box::new(KeyInequalityRule {
+            oracle.push_rule(KeyInequalityRule {
                 rule_name: format!("{}-{}", args[1], args[2].replace('/', "-")),
                 tag: args[1].to_string(),
                 value_path: args[2].to_string(),
-            }));
+            });
             Ok(())
         }
         Some(other) => Err(err(
@@ -163,7 +166,7 @@ fn parse_prior(args: &[&str], line: usize, oracle: &mut Oracle) -> Result<(), Ds
                 2 => parse_prob(args[1], line, "probability")?,
                 _ => return Err(err(line, "expected: prior uniform [p]")),
             };
-            oracle.set_prior(Box::new(UniformPrior { p }));
+            oracle.set_prior(UniformPrior { p });
             Ok(())
         }
         Some(&"similarity") => {
@@ -183,12 +186,12 @@ fn parse_prior(args: &[&str], line: usize, oracle: &mut Oracle) -> Result<(), Ds
                 return Err(err(line, format!("empty range: {lo} > {hi}")));
             }
             let measure = parse_optional_measure(&args[6..], line)?;
-            oracle.set_prior(Box::new(SimilarityPrior {
+            oracle.set_prior(SimilarityPrior {
                 lo,
                 hi,
                 value_path: Some(args[2].to_string()),
                 measure,
-            }));
+            });
             Ok(())
         }
         Some(other) => Err(err(

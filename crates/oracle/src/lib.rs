@@ -8,18 +8,20 @@
 //! not" — they are absolute deciders, deliberately simple so that
 //! configuring the system costs minimal human effort. Pairs no rule
 //! decides remain *possible* matches with a probability supplied by a
-//! [`prior::PriorModel`]; those are exactly the pairs that multiply the
+//! [`prior::Prior`]; those are exactly the pairs that multiply the
 //! possibility space during integration.
 //!
-//! The paper's rules map onto this crate as follows:
+//! The paper's rules map onto the variants of the closed [`Rule`] enum,
+//! which judging ([`Oracle::judge`]) and blocking
+//! ([`BlockingPlan`]) both match on:
 //!
 //! | Paper rule | Implementation |
 //! |---|---|
-//! | "Two deep-equal elements refer to the same rwo" | [`rules::DeepEqualRule`] |
+//! | "Two deep-equal elements refer to the same rwo" | [`Rule::DeepEqual`] ([`rules::DeepEqualRule`]) |
 //! | "No two siblings in one source refer to the same rwo" | structural in the matcher (injective matchings), not a `Rule` |
-//! | Genre rule: "no typos occur in genres" | [`rules::ExactTextRule`] on `genre` |
-//! | Title rule: "two movies cannot match if their titles are not sufficiently similar" | [`rules::SimilarityThresholdRule`] on `movie`/`title` |
-//! | Year rule: "movies of different years cannot match" | [`rules::KeyInequalityRule`] on `movie`/`year` |
+//! | Genre rule: "no typos occur in genres" | [`Rule::ExactText`] ([`rules::ExactTextRule`]) on `genre` |
+//! | Title rule: "two movies cannot match if their titles are not sufficiently similar" | [`Rule::Similarity`] ([`rules::SimilarityThresholdRule`]) on `movie`/`title` |
+//! | Year rule: "movies of different years cannot match" | [`Rule::KeyInequality`] ([`rules::KeyInequalityRule`]) on `movie`/`year` |
 //!
 //! [`presets`] assembles the exact §V configurations used by the Table I /
 //! Figure 5 experiments.
@@ -33,10 +35,10 @@ pub mod value;
 
 pub mod presets;
 
-pub use blocking::{BlockingHint, BlockingPlan, ElementFeatures, PruneFilter};
+pub use blocking::{BlockingPlan, ElementFeatures};
 pub use decision::{Decision, Judgment};
 pub use dsl::{parse_rules, DslError};
-pub use prior::{PriorModel, SimilarityPrior, UniformPrior};
+pub use prior::{Prior, SimilarityPrior, UniformPrior};
 pub use rules::{
     DeepEqualRule, ExactTextRule, KeyInequalityRule, Rule, SimMeasure, SimilarityThresholdRule,
 };
@@ -48,41 +50,39 @@ pub use value::{ElemRef, ValueLookup};
 /// decides the pair with certainty. If every rule abstains the pair is
 /// *possible* and receives the prior's probability (clamped to the open
 /// interval so it never silently becomes a certain decision).
+#[derive(Debug, Clone)]
 pub struct Oracle {
-    rules: Vec<Box<dyn Rule>>,
-    prior: Box<dyn PriorModel>,
+    rules: Vec<Rule>,
+    prior: Prior,
 }
 
 impl Oracle {
     /// An oracle with no rules and a uniform 0.5 prior: the paper's "too
     /// little semantical knowledge" regime in which everything is possible.
     pub fn uninformed() -> Self {
-        Oracle {
-            rules: Vec::new(),
-            prior: Box::new(UniformPrior::default()),
-        }
+        Oracle::new(Vec::new(), UniformPrior::default().into())
     }
 
     /// Create an oracle from rules and a prior model.
-    pub fn new(rules: Vec<Box<dyn Rule>>, prior: Box<dyn PriorModel>) -> Self {
+    pub fn new(rules: Vec<Rule>, prior: Prior) -> Self {
         Oracle { rules, prior }
     }
 
     /// Append a rule (consulted after the existing ones).
-    pub fn push_rule(&mut self, rule: Box<dyn Rule>) -> &mut Self {
-        self.rules.push(rule);
+    pub fn push_rule(&mut self, rule: impl Into<Rule>) -> &mut Self {
+        self.rules.push(rule.into());
         self
     }
 
     /// Replace the prior model.
-    pub fn set_prior(&mut self, prior: Box<dyn PriorModel>) -> &mut Self {
-        self.prior = prior;
+    pub fn set_prior(&mut self, prior: impl Into<Prior>) -> &mut Self {
+        self.prior = prior.into();
         self
     }
 
     /// Names of the configured rules, in consultation order.
     pub fn rule_names(&self) -> Vec<&str> {
-        self.rules.iter().map(|r| r.name()).collect()
+        self.rules.iter().map(Rule::name).collect()
     }
 
     /// Judge whether `a` and `b` refer to the same real-world object.
@@ -95,6 +95,38 @@ impl Oracle {
                 };
             }
         }
+        self.undecided(a, b)
+    }
+
+    /// Judge one left element against a whole row of right elements.
+    ///
+    /// Semantically identical to calling [`Oracle::judge`] per pair —
+    /// same decisions, same deciding rules, same prior probabilities, bit
+    /// for bit — but the similarity rules normalise the left-hand values
+    /// once for the whole row.
+    pub fn judge_row(&self, a: &ElemRef<'_>, bs: &[ElemRef<'_>]) -> Vec<Judgment> {
+        let mut decided: Vec<Option<(usize, Decision)>> = vec![None; bs.len()];
+        for (index, rule) in self.rules.iter().enumerate() {
+            if decided.iter().all(Option::is_some) {
+                break;
+            }
+            rule.judge_row(index, a, bs, &mut decided);
+        }
+        bs.iter()
+            .zip(decided)
+            .map(|(b, decided)| match decided {
+                Some((index, decision)) => Judgment {
+                    decision,
+                    rule: Some(self.rules[index].name().to_string()),
+                },
+                None => self.undecided(a, b),
+            })
+            .collect()
+    }
+
+    /// The judgment for a pair no rule decides: possible, with the
+    /// prior's probability.
+    fn undecided(&self, a: &ElemRef<'_>, b: &ElemRef<'_>) -> Judgment {
         let p = self.prior.probability(a, b).clamp(1e-6, 1.0 - 1e-6);
         Judgment {
             decision: Decision::Possible(p),
@@ -102,59 +134,10 @@ impl Oracle {
         }
     }
 
-    /// Judge one left element against a whole row of right elements.
-    ///
-    /// Semantically identical to calling [`Oracle::judge`] per pair —
-    /// same decisions, same deciding rules, same prior probabilities, bit
-    /// for bit — but rules get to amortise their left-hand preprocessing
-    /// across the row via [`Rule::judge_row`].
-    pub fn judge_row(&self, a: &ElemRef<'_>, bs: &[ElemRef<'_>]) -> Vec<Judgment> {
-        let mut decisions: Vec<Option<Decision>> = vec![None; bs.len()];
-        let mut deciders: Vec<Option<&str>> = vec![None; bs.len()];
-        let mut undecided = bs.len();
-        for rule in &self.rules {
-            if undecided == 0 {
-                break;
-            }
-            let before: Vec<bool> = decisions.iter().map(Option::is_some).collect();
-            rule.judge_row(a, bs, &mut decisions);
-            for (i, was_decided) in before.iter().enumerate() {
-                if !was_decided && decisions[i].is_some() {
-                    deciders[i] = Some(rule.name());
-                    undecided -= 1;
-                }
-            }
-        }
-        bs.iter()
-            .zip(decisions.into_iter().zip(deciders))
-            .map(|(b, (decision, decider))| match decision {
-                Some(decision) => Judgment {
-                    decision,
-                    rule: decider.map(str::to_string),
-                },
-                None => {
-                    let p = self.prior.probability(a, b).clamp(1e-6, 1.0 - 1e-6);
-                    Judgment {
-                        decision: Decision::Possible(p),
-                        rule: None,
-                    }
-                }
-            })
-            .collect()
-    }
-
     /// The recall-safe blocking plan this rule configuration supports for
     /// elements of `tag` (see [`blocking`]).
     pub fn blocking_plan(&self, tag: &str) -> BlockingPlan {
         BlockingPlan::derive(&self.rules, tag)
-    }
-}
-
-impl std::fmt::Debug for Oracle {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Oracle")
-            .field("rules", &self.rule_names())
-            .finish_non_exhaustive()
     }
 }
 
@@ -192,7 +175,7 @@ mod tests {
         let a = px("<movie><title>Jaws</title></movie>");
         let b = px("<movie><title>Jaws</title></movie>");
         let mut oracle = Oracle::uninformed();
-        oracle.push_rule(Box::new(DeepEqualRule));
+        oracle.push_rule(DeepEqualRule);
         let j = oracle.judge(&elem_of(&a), &elem_of(&b));
         assert_eq!(j.decision, Decision::Match);
         assert_eq!(j.rule.as_deref(), Some("deep-equal"));
@@ -204,8 +187,8 @@ mod tests {
         let a = px("<movie><title>Jaws</title></movie>");
         let b = px("<movie><title>Die Hard</title></movie>");
         let mut oracle = Oracle::uninformed();
-        oracle.push_rule(Box::new(SimilarityThresholdRule::movie_title(0.5)));
-        oracle.push_rule(Box::new(DeepEqualRule));
+        oracle.push_rule(SimilarityThresholdRule::movie_title(0.5));
+        oracle.push_rule(DeepEqualRule);
         let j = oracle.judge(&elem_of(&a), &elem_of(&b));
         assert_eq!(j.decision, Decision::NonMatch);
         assert_eq!(j.rule.as_deref(), Some("movie-title"));
@@ -213,18 +196,9 @@ mod tests {
 
     #[test]
     fn prior_is_clamped_to_open_interval() {
-        struct ExtremePrior;
-        impl PriorModel for ExtremePrior {
-            fn probability(&self, _: &ElemRef<'_>, _: &ElemRef<'_>) -> f64 {
-                1.0
-            }
-            fn name(&self) -> &str {
-                "extreme"
-            }
-        }
         let a = px("<g>Horror</g>");
         let b = px("<g>Horror</g>");
-        let oracle = Oracle::new(Vec::new(), Box::new(ExtremePrior));
+        let oracle = Oracle::new(Vec::new(), UniformPrior { p: 1.0 }.into());
         match oracle.judge(&elem_of(&a), &elem_of(&b)).decision {
             Decision::Possible(p) => assert!(p < 1.0 && p > 0.0),
             other => panic!("expected Possible, got {other:?}"),
@@ -234,11 +208,11 @@ mod tests {
     #[test]
     fn judge_row_is_bit_identical_to_per_pair_judging() {
         let mut oracle = Oracle::uninformed();
-        oracle.set_prior(Box::new(SimilarityPrior::movie_title(0.1, 0.9)));
-        oracle.push_rule(Box::new(DeepEqualRule));
-        oracle.push_rule(Box::new(rules::ExactTextRule::new("genre")));
-        oracle.push_rule(Box::new(SimilarityThresholdRule::movie_title(0.55)));
-        oracle.push_rule(Box::new(rules::KeyInequalityRule::movie_year()));
+        oracle.set_prior(SimilarityPrior::movie_title(0.1, 0.9));
+        oracle.push_rule(DeepEqualRule);
+        oracle.push_rule(rules::ExactTextRule::new("genre"));
+        oracle.push_rule(SimilarityThresholdRule::movie_title(0.55));
+        oracle.push_rule(rules::KeyInequalityRule::movie_year());
         let docs: Vec<PxDoc> = [
             "<movie><title>Jaws</title><year>1975</year></movie>",
             "<movie><title>Jaws</title><year>1975</year></movie>",
@@ -273,8 +247,8 @@ mod tests {
     #[test]
     fn debug_lists_rules() {
         let mut oracle = Oracle::uninformed();
-        oracle.push_rule(Box::new(DeepEqualRule));
+        oracle.push_rule(DeepEqualRule);
         let s = format!("{oracle:?}");
-        assert!(s.contains("deep-equal"));
+        assert!(s.contains("DeepEqual"));
     }
 }

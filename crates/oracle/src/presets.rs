@@ -44,25 +44,23 @@ impl Default for MovieOracleConfig {
 /// always present; domain rules are added per the configuration.
 pub fn movie_oracle(cfg: MovieOracleConfig) -> Oracle {
     let mut oracle = Oracle::uninformed();
-    oracle.push_rule(Box::new(DeepEqualRule));
+    oracle.push_rule(DeepEqualRule);
     if cfg.genre_rule {
-        oracle.push_rule(Box::new(ExactTextRule::new("genre")));
+        oracle.push_rule(ExactTextRule::new("genre"));
     }
     if cfg.title_rule {
-        oracle.push_rule(Box::new(SimilarityThresholdRule::movie_title(
-            cfg.title_threshold,
-        )));
+        oracle.push_rule(SimilarityThresholdRule::movie_title(cfg.title_threshold));
     }
     if cfg.year_rule {
-        oracle.push_rule(Box::new(KeyInequalityRule::movie_year()));
+        oracle.push_rule(KeyInequalityRule::movie_year());
     }
     // Directors are value-like person names: treat exact-equal directors as
     // the same rwo (deep-equal already covers it), and let the prior handle
     // near-matches.
     if cfg.graded_prior {
-        oracle.set_prior(Box::new(SimilarityPrior::movie_title(0.05, 0.95)));
+        oracle.set_prior(SimilarityPrior::movie_title(0.05, 0.95));
     } else {
-        oracle.set_prior(Box::new(UniformPrior::default()));
+        oracle.set_prior(UniformPrior::default());
     }
     oracle
 }
@@ -154,10 +152,10 @@ impl TableIRuleSet {
 /// stays undecided at ½ — producing exactly the paper's three worlds.
 pub fn addressbook_oracle() -> Oracle {
     let mut oracle = Oracle::uninformed();
-    oracle.push_rule(Box::new(DeepEqualRule));
-    oracle.push_rule(Box::new(SimilarityThresholdRule::person_name(0.85)));
-    oracle.push_rule(Box::new(ExactTextRule::new("tel")));
-    oracle.push_rule(Box::new(ExactTextRule::new("nm")));
+    oracle.push_rule(DeepEqualRule);
+    oracle.push_rule(SimilarityThresholdRule::person_name(0.85));
+    oracle.push_rule(ExactTextRule::new("tel"));
+    oracle.push_rule(ExactTextRule::new("nm"));
     oracle
 }
 

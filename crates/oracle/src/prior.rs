@@ -11,13 +11,36 @@
 use crate::rules::SimMeasure;
 use crate::value::{ElemRef, ValueLookup};
 
-/// Supplies match probabilities for undecided pairs.
-pub trait PriorModel: Send + Sync {
-    /// Match probability in `(0, 1)` (the Oracle clamps defensively).
-    fn probability(&self, a: &ElemRef<'_>, b: &ElemRef<'_>) -> f64;
+/// Supplies match probabilities for undecided pairs: one of the two
+/// prior models below.
+#[derive(Debug, Clone)]
+pub enum Prior {
+    /// The same probability for every undecided pair.
+    Uniform(UniformPrior),
+    /// A probability graded by value similarity.
+    Similarity(SimilarityPrior),
+}
 
-    /// Short stable name for traces.
-    fn name(&self) -> &str;
+impl Prior {
+    /// Match probability in `(0, 1)` (the Oracle clamps defensively).
+    pub fn probability(&self, a: &ElemRef<'_>, b: &ElemRef<'_>) -> f64 {
+        match self {
+            Prior::Uniform(p) => p.probability(a, b),
+            Prior::Similarity(p) => p.probability(a, b),
+        }
+    }
+}
+
+impl From<UniformPrior> for Prior {
+    fn from(p: UniformPrior) -> Self {
+        Prior::Uniform(p)
+    }
+}
+
+impl From<SimilarityPrior> for Prior {
+    fn from(p: SimilarityPrior) -> Self {
+        Prior::Similarity(p)
+    }
 }
 
 /// The uninformed prior: every undecided pair matches with the same
@@ -34,13 +57,10 @@ impl Default for UniformPrior {
     }
 }
 
-impl PriorModel for UniformPrior {
-    fn probability(&self, _: &ElemRef<'_>, _: &ElemRef<'_>) -> f64 {
+impl UniformPrior {
+    /// The constant probability, whatever the pair.
+    pub fn probability(&self, _: &ElemRef<'_>, _: &ElemRef<'_>) -> f64 {
         self.p
-    }
-
-    fn name(&self) -> &str {
-        "uniform"
     }
 }
 
@@ -77,10 +97,10 @@ impl SimilarityPrior {
             None => e.own_text(),
         }
     }
-}
 
-impl PriorModel for SimilarityPrior {
-    fn probability(&self, a: &ElemRef<'_>, b: &ElemRef<'_>) -> f64 {
+    /// `lo` plus the values' similarity times `hi - lo`; the middle of
+    /// the band when either value is missing or uncertain.
+    pub fn probability(&self, a: &ElemRef<'_>, b: &ElemRef<'_>) -> f64 {
         match (self.lookup(a), self.lookup(b)) {
             (ValueLookup::Value(va), ValueLookup::Value(vb)) => {
                 let s = self.measure.apply(&va, &vb);
@@ -89,10 +109,6 @@ impl PriorModel for SimilarityPrior {
             // Unknown evidence: sit in the middle of the configured band.
             _ => 0.5 * (self.lo + self.hi),
         }
-    }
-
-    fn name(&self) -> &str {
-        "similarity"
     }
 }
 

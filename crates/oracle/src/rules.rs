@@ -6,7 +6,6 @@
 //! one sentence of domain knowledge; a rule either decides a pair with
 //! certainty or abstains.
 
-use crate::blocking::{BlockingHint, PruneFilter};
 use crate::decision::Decision;
 use crate::value::{ElemRef, PossibleValues};
 use imprecise_pxml::{px_deep_equal, px_fingerprint};
@@ -17,33 +16,88 @@ use imprecise_sim as sim;
 pub(crate) const VALUE_VARIANT_CAP: usize = 16;
 
 /// A knowledge rule consulted by the Oracle.
-pub trait Rule: Send + Sync {
+///
+/// The set is closed: these four kinds are every rule the paper states
+/// (§V), and because judging and blocking both match on this one enum,
+/// every rule a configuration can hold has a derived blocking behaviour
+/// (see [`crate::blocking`]).
+#[derive(Debug, Clone)]
+pub enum Rule {
+    /// Deep-equal elements match.
+    DeepEqual(DeepEqualRule),
+    /// Elements of a tag match iff their texts are equal.
+    ExactText(ExactTextRule),
+    /// Elements of a tag cannot match if a value is not similar enough.
+    Similarity(SimilarityThresholdRule),
+    /// Elements of a tag cannot match if a key value differs.
+    KeyInequality(KeyInequalityRule),
+}
+
+impl Rule {
     /// Short stable name used in traces and statistics.
-    fn name(&self) -> &str;
-
-    /// Judge the pair, or abstain with `None`.
-    fn judge(&self, a: &ElemRef<'_>, b: &ElemRef<'_>) -> Option<Decision>;
-
-    /// Judge one left element against a row of right elements, writing
-    /// into the `None` slots of `out` (a decided slot belongs to an
-    /// earlier rule and must be left alone).
-    ///
-    /// The default is the per-pair loop; rules whose left-hand work is
-    /// amortisable (normalisation, tokenisation) override this. Overrides
-    /// must stay *bit-identical* to per-pair judging.
-    fn judge_row(&self, a: &ElemRef<'_>, bs: &[ElemRef<'_>], out: &mut [Option<Decision>]) {
-        for (b, slot) in bs.iter().zip(out.iter_mut()) {
-            if slot.is_none() {
-                *slot = self.judge(a, b);
-            }
+    pub fn name(&self) -> &str {
+        match self {
+            Rule::DeepEqual(_) => "deep-equal",
+            Rule::ExactText(_) => "exact-text",
+            Rule::Similarity(r) => &r.rule_name,
+            Rule::KeyInequality(r) => &r.rule_name,
         }
     }
 
-    /// How this rule behaves for blocking-plan derivation (see
-    /// [`crate::blocking`]). The conservative default marks the rule
-    /// opaque, which stops prefilter collection at it — always sound.
-    fn blocking_hint(&self) -> BlockingHint {
-        BlockingHint::Opaque
+    /// Judge the pair, or abstain with `None`.
+    pub fn judge(&self, a: &ElemRef<'_>, b: &ElemRef<'_>) -> Option<Decision> {
+        match self {
+            Rule::DeepEqual(r) => r.judge(a, b),
+            Rule::ExactText(r) => r.judge(a, b),
+            Rule::Similarity(r) => r.judge(a, b),
+            Rule::KeyInequality(r) => r.judge(a, b),
+        }
+    }
+
+    /// Judge one left element against a row of right elements, filling
+    /// the `None` slots of `out` with this rule's decision tagged by
+    /// `index`, its position in the Oracle's rule list. A filled slot
+    /// belongs to an earlier rule and is left alone. Bit-identical to
+    /// [`Rule::judge`] per pair.
+    pub(crate) fn judge_row(
+        &self,
+        index: usize,
+        a: &ElemRef<'_>,
+        bs: &[ElemRef<'_>],
+        out: &mut [Option<(usize, Decision)>],
+    ) {
+        if let Rule::Similarity(r) = self {
+            return r.judge_row(index, a, bs, out);
+        }
+        for (b, slot) in bs.iter().zip(out.iter_mut()) {
+            if slot.is_none() {
+                *slot = self.judge(a, b).map(|d| (index, d));
+            }
+        }
+    }
+}
+
+impl From<DeepEqualRule> for Rule {
+    fn from(r: DeepEqualRule) -> Self {
+        Rule::DeepEqual(r)
+    }
+}
+
+impl From<ExactTextRule> for Rule {
+    fn from(r: ExactTextRule) -> Self {
+        Rule::ExactText(r)
+    }
+}
+
+impl From<SimilarityThresholdRule> for Rule {
+    fn from(r: SimilarityThresholdRule) -> Self {
+        Rule::Similarity(r)
+    }
+}
+
+impl From<KeyInequalityRule> for Rule {
+    fn from(r: KeyInequalityRule) -> Self {
+        Rule::KeyInequality(r)
     }
 }
 
@@ -55,12 +109,9 @@ pub trait Rule: Send + Sync {
 #[derive(Debug, Clone, Copy, Default)]
 pub struct DeepEqualRule;
 
-impl Rule for DeepEqualRule {
-    fn name(&self) -> &str {
-        "deep-equal"
-    }
-
-    fn judge(&self, a: &ElemRef<'_>, b: &ElemRef<'_>) -> Option<Decision> {
+impl DeepEqualRule {
+    /// Judge the pair, or abstain with `None`.
+    pub fn judge(&self, a: &ElemRef<'_>, b: &ElemRef<'_>) -> Option<Decision> {
         // Fingerprint as a cheap pre-filter, structural compare to confirm.
         if px_fingerprint(a.doc, a.node) == px_fingerprint(b.doc, b.node)
             && px_deep_equal(a.doc, a.node, b.doc, b.node)
@@ -69,11 +120,6 @@ impl Rule for DeepEqualRule {
         } else {
             None
         }
-    }
-
-    fn blocking_hint(&self) -> BlockingHint {
-        // Matches only content-identical pairs; never non-matches.
-        BlockingHint::Transparent
     }
 }
 
@@ -98,30 +144,15 @@ impl ExactTextRule {
     pub fn new(tag: impl Into<String>) -> Self {
         ExactTextRule { tag: tag.into() }
     }
-}
 
-impl Rule for ExactTextRule {
-    fn name(&self) -> &str {
-        "exact-text"
-    }
-
-    fn judge(&self, a: &ElemRef<'_>, b: &ElemRef<'_>) -> Option<Decision> {
+    /// Judge the pair, or abstain with `None`.
+    pub fn judge(&self, a: &ElemRef<'_>, b: &ElemRef<'_>) -> Option<Decision> {
         if a.tag() != self.tag || b.tag() != self.tag {
             return None;
         }
         let ta = a.possible_own_texts(VALUE_VARIANT_CAP)?;
         let tb = b.possible_own_texts(VALUE_VARIANT_CAP)?;
         decide_over_pairs(&ta, &tb, |x, y| x == y)
-    }
-
-    fn blocking_hint(&self) -> BlockingHint {
-        BlockingHint::TagGated {
-            tag: self.tag.clone(),
-            filter: Some(PruneFilter::TextDiffers),
-            // Equal texts decide Match, so no later filter may prune
-            // pairs this rule would accept.
-            decides_match: true,
-        }
     }
 }
 
@@ -188,10 +219,9 @@ impl SimMeasure {
         }
     }
 
-    /// Preprocess the left-hand string for repeated one-vs-many
-    /// application. `prepared.apply(y)` is bit-identical to
-    /// `measure.apply(x, y)`.
-    fn prepare(&self, x: &str) -> PreparedMeasure {
+    /// Preprocess one operand (normalise, tokenise) once, for repeated
+    /// comparison against raw or other prepared values.
+    pub(crate) fn prepare(&self, x: &str) -> PreparedMeasure {
         match self {
             SimMeasure::Title => PreparedMeasure::Title(sim::PreparedTitle::new(x)),
             SimMeasure::PersonName => PreparedMeasure::PersonName(sim::PreparedPersonName::new(x)),
@@ -200,20 +230,44 @@ impl SimMeasure {
     }
 }
 
-/// A [`SimMeasure`] with the left-hand operand preprocessed (normalised,
-/// tokenised) once, for batch judging.
-enum PreparedMeasure {
+/// One operand of a [`SimMeasure`], preprocessed once. Row judging
+/// compares it against raw values and blocking's exact fallback against
+/// another prepared operand; both are bit-identical to
+/// [`SimMeasure::apply`], because both end in the same `sim` function.
+#[derive(Debug, Clone)]
+pub(crate) enum PreparedMeasure {
     Title(sim::PreparedTitle),
     PersonName(sim::PreparedPersonName),
     Other(SimMeasure, String),
 }
 
 impl PreparedMeasure {
-    fn apply(&self, y: &str) -> f64 {
+    /// `measure.apply(x, y)` for this prepared `x`.
+    pub(crate) fn apply(&self, y: &str) -> f64 {
         match self {
             PreparedMeasure::Title(p) => p.similarity(y),
             PreparedMeasure::PersonName(p) => p.similarity(y),
             PreparedMeasure::Other(measure, x) => measure.apply(x, y),
+        }
+    }
+
+    /// `measure.apply(x, y)` for this prepared `x` and a `y` prepared for
+    /// the same measure.
+    pub(crate) fn similarity(&self, other: &PreparedMeasure) -> f64 {
+        match (self, other) {
+            (PreparedMeasure::Title(x), PreparedMeasure::Title(y)) => x.similarity(y),
+            (PreparedMeasure::PersonName(x), PreparedMeasure::PersonName(y)) => x.similarity(y),
+            _ => self.apply(other.text()),
+        }
+    }
+
+    /// The string the measure compares: the normalised title or name,
+    /// else the value itself.
+    pub(crate) fn text(&self) -> &str {
+        match self {
+            PreparedMeasure::Title(p) => p.norm(),
+            PreparedMeasure::PersonName(p) => p.norm(),
+            PreparedMeasure::Other(_, x) => x,
         }
     }
 }
@@ -261,42 +315,24 @@ impl SimilarityThresholdRule {
             measure: SimMeasure::PersonName,
         }
     }
-}
 
-impl Rule for SimilarityThresholdRule {
-    fn name(&self) -> &str {
-        &self.rule_name
+    /// Judge the pair, or abstain with `None`: the row path on a row of
+    /// one, so judging a pair and judging a row share one implementation.
+    pub fn judge(&self, a: &ElemRef<'_>, b: &ElemRef<'_>) -> Option<Decision> {
+        let mut out = [None];
+        self.judge_row(0, a, std::slice::from_ref(b), &mut out);
+        out[0].map(|(_, decision)| decision)
     }
 
-    fn judge(&self, a: &ElemRef<'_>, b: &ElemRef<'_>) -> Option<Decision> {
-        if a.tag() != self.tag || b.tag() != self.tag {
-            return None;
-        }
-        match (
-            a.possible_values_at(&self.value_path, VALUE_VARIANT_CAP),
-            b.possible_values_at(&self.value_path, VALUE_VARIANT_CAP),
-        ) {
-            (PossibleValues::Values(va), PossibleValues::Values(vb)) => {
-                // Non-match only when *every* possible title pairing is
-                // dissimilar; high similarity never proves identity.
-                let all_below = va
-                    .iter()
-                    .all(|x| vb.iter().all(|y| self.measure.apply(x, y) < self.threshold));
-                if all_below {
-                    Some(Decision::NonMatch)
-                } else {
-                    None
-                }
-            }
-            _ => None,
-        }
-    }
-
-    /// Batch path: normalise/tokenise each of `a`'s possible values once
-    /// and reuse them across the whole row. Bit-identical to [`Rule::judge`]
-    /// per pair because `PreparedMeasure::apply` is bit-identical to
-    /// [`SimMeasure::apply`].
-    fn judge_row(&self, a: &ElemRef<'_>, bs: &[ElemRef<'_>], out: &mut [Option<Decision>]) {
+    /// Row path of [`Rule::judge_row`]: normalise/tokenise each of `a`'s
+    /// possible values once and reuse them across the whole row.
+    fn judge_row(
+        &self,
+        index: usize,
+        a: &ElemRef<'_>,
+        bs: &[ElemRef<'_>],
+        out: &mut [Option<(usize, Decision)>],
+    ) {
         if a.tag() != self.tag {
             return;
         }
@@ -312,27 +348,15 @@ impl Rule for SimilarityThresholdRule {
             if let PossibleValues::Values(vb) =
                 b.possible_values_at(&self.value_path, VALUE_VARIANT_CAP)
             {
+                // Non-match only when *every* possible value pairing is
+                // dissimilar; high similarity never proves identity.
                 let all_below = prepared
                     .iter()
                     .all(|x| vb.iter().all(|y| x.apply(y) < self.threshold));
                 if all_below {
-                    *slot = Some(Decision::NonMatch);
+                    *slot = Some((index, Decision::NonMatch));
                 }
             }
-        }
-    }
-
-    fn blocking_hint(&self) -> BlockingHint {
-        BlockingHint::TagGated {
-            tag: self.tag.clone(),
-            // A threshold above 1 rejects even identical values, which
-            // contradicts deep-equal transparency — emit no filter there.
-            filter: (self.threshold <= 1.0).then(|| PruneFilter::SimilarityBelow {
-                value_path: self.value_path.clone(),
-                threshold: self.threshold,
-                measure: self.measure,
-            }),
-            decides_match: false,
         }
     }
 }
@@ -361,14 +385,9 @@ impl KeyInequalityRule {
             value_path: "year".into(),
         }
     }
-}
 
-impl Rule for KeyInequalityRule {
-    fn name(&self) -> &str {
-        &self.rule_name
-    }
-
-    fn judge(&self, a: &ElemRef<'_>, b: &ElemRef<'_>) -> Option<Decision> {
+    /// Judge the pair, or abstain with `None`.
+    pub fn judge(&self, a: &ElemRef<'_>, b: &ElemRef<'_>) -> Option<Decision> {
         if a.tag() != self.tag || b.tag() != self.tag {
             return None;
         }
@@ -380,23 +399,9 @@ impl Rule for KeyInequalityRule {
                 // Different keys in every world ⇒ certainly distinct rwos;
                 // a single possibly-equal key pair forces abstention.
                 let all_differ = va.iter().all(|x| vb.iter().all(|y| x.trim() != y.trim()));
-                if all_differ {
-                    Some(Decision::NonMatch)
-                } else {
-                    None
-                }
+                all_differ.then_some(Decision::NonMatch)
             }
             _ => None,
-        }
-    }
-
-    fn blocking_hint(&self) -> BlockingHint {
-        BlockingHint::TagGated {
-            tag: self.tag.clone(),
-            filter: Some(PruneFilter::KeyDiffers {
-                value_path: self.value_path.clone(),
-            }),
-            decides_match: false,
         }
     }
 }

@@ -1,20 +1,18 @@
 //! Levenshtein edit distance and the similarity derived from it.
 //!
-//! Three execution tiers, all computing the same integers:
+//! Two execution tiers, both computing the same integers:
 //!
 //! * ASCII pairs whose shorter side fits 64 bytes run Myers' bit-parallel
-//!   recurrence on the stack — no allocation at all;
+//!   recurrence ([`crate::simd::generic`]) on the stack, with no
+//!   allocation at all;
 //! * everything else runs the classic two-row DP over bytes or Unicode
 //!   scalars, with the rows (and char scratch) reused from a thread-local
-//!   buffer instead of being re-collected per call;
-//! * one-vs-many batches ([`levenshtein_batch`], [`similarity_batch`])
-//!   preprocess the pattern once and hand contiguous ASCII runs to the
-//!   runtime-selected SIMD kernel in [`crate::simd`].
+//!   buffer instead of being re-collected per call.
 //!
-//! Distances are exact in every tier, so derived `f64` similarities are
-//! bit-identical no matter which tier or kernel computed them.
+//! Distances are exact in both tiers, so derived `f64` similarities are
+//! bit-identical no matter which tier computed them.
 
-use crate::simd::{self, generic::MyersPattern, EditKernel};
+use crate::simd::generic::MyersPattern;
 use std::cell::RefCell;
 
 thread_local! {
@@ -105,64 +103,6 @@ pub fn levenshtein_similarity(a: &str, b: &str) -> f64 {
     1.0 - levenshtein(a, b) as f64 / max_len as f64
 }
 
-/// One-vs-many Levenshtein: the distance of `a` against each string in
-/// `bs`, in order, using the process-wide active kernel.
-///
-/// Equal to calling [`levenshtein`] per pair, but the pattern is
-/// preprocessed once and contiguous ASCII texts go to the SIMD kernel.
-pub fn levenshtein_batch(a: &str, bs: &[&str]) -> Vec<usize> {
-    let mut out = Vec::new();
-    levenshtein_batch_with(simd::active(), a, bs, &mut out);
-    out
-}
-
-/// [`levenshtein_batch`] against an explicit kernel, appending to `out`
-/// (cleared first). The kernel-equivalence property tests drive this.
-pub fn levenshtein_batch_with(kernel: &dyn EditKernel, a: &str, bs: &[&str], out: &mut Vec<usize>) {
-    out.clear();
-    out.reserve(bs.len());
-    if !a.is_ascii() || a.is_empty() || a.len() > 64 {
-        // The kernels require a word-sized ASCII pattern; everything else
-        // takes the scalar tiers pair by pair.
-        out.extend(bs.iter().map(|b| levenshtein(a, b)));
-        return;
-    }
-    let pat = a.as_bytes();
-    let mut run: Vec<&[u8]> = Vec::new();
-    let mut i = 0;
-    while i < bs.len() {
-        if bs[i].is_ascii() {
-            run.clear();
-            while i < bs.len() && bs[i].is_ascii() {
-                run.push(bs[i].as_bytes());
-                i += 1;
-            }
-            kernel.levenshtein_ascii_batch(pat, &run, out);
-        } else {
-            out.push(levenshtein(a, bs[i]));
-            i += 1;
-        }
-    }
-}
-
-/// One-vs-many normalised Levenshtein similarity, bit-identical to
-/// calling [`levenshtein_similarity`] per pair.
-pub fn similarity_batch(a: &str, bs: &[&str]) -> Vec<f64> {
-    let la = a.chars().count();
-    let distances = levenshtein_batch(a, bs);
-    bs.iter()
-        .zip(distances)
-        .map(|(b, d)| {
-            let max_len = la.max(b.chars().count());
-            if max_len == 0 {
-                1.0
-            } else {
-                1.0 - d as f64 / max_len as f64
-            }
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -218,37 +158,5 @@ mod tests {
         assert_eq!(levenshtein_similarity("abc", "xyz"), 0.0);
         let s = levenshtein_similarity("jaws", "jaws 2");
         assert!((s - (1.0 - 2.0 / 6.0)).abs() < 1e-12);
-    }
-
-    #[test]
-    fn batch_equals_per_pair() {
-        let bs = ["sitting", "", "kitten", "café", "a much longer text here"];
-        let batch = levenshtein_batch("kitten", &bs);
-        let pairwise: Vec<usize> = bs.iter().map(|b| levenshtein("kitten", b)).collect();
-        assert_eq!(batch, pairwise);
-
-        let sims = similarity_batch("kitten", &bs);
-        for (s, b) in sims.iter().zip(bs) {
-            assert_eq!(
-                s.to_bits(),
-                levenshtein_similarity("kitten", b).to_bits(),
-                "similarity for {b:?}"
-            );
-        }
-    }
-
-    #[test]
-    fn batch_with_non_kernel_pattern() {
-        // Non-ASCII and over-long patterns fall back per pair.
-        let bs = ["cafe", "café", "x"];
-        assert_eq!(
-            levenshtein_batch("café", &bs),
-            vec![1, 0, 4],
-            "non-ascii pattern"
-        );
-        let long = "q".repeat(70);
-        let expect: Vec<usize> = bs.iter().map(|b| levenshtein(&long, b)).collect();
-        assert_eq!(levenshtein_batch(&long, &bs), expect, "over-long pattern");
-        assert_eq!(levenshtein_batch("", &bs), vec![4, 4, 1], "empty pattern");
     }
 }

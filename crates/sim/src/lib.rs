@@ -17,12 +17,12 @@ pub mod normalize;
 pub mod simd;
 pub mod token;
 
-pub use edit::{levenshtein, levenshtein_batch, levenshtein_similarity, similarity_batch};
+pub use edit::{levenshtein, levenshtein_similarity};
 pub use jaro::{jaro, jaro_winkler};
 pub use normalize::{normalize_person_name, normalize_title, normalize_token};
 pub use token::{dice_trigram, jaccard_token_sets, jaccard_tokens, token_set, tokenize};
 
-use std::collections::BTreeSet;
+use std::borrow::Cow;
 
 /// Similarity between two movie titles in `[0, 1]`.
 ///
@@ -32,14 +32,7 @@ use std::collections::BTreeSet;
 /// blend takes the maximum: either signal alone suffices to call two titles
 /// "sufficiently similar" in the sense of the paper's title rule.
 pub fn title_similarity(a: &str, b: &str) -> f64 {
-    let na = normalize_title(a);
-    let nb = normalize_title(b);
-    if na.is_empty() && nb.is_empty() {
-        return 1.0;
-    }
-    let token_sim = jaccard_tokens(&na, &nb);
-    let char_sim = levenshtein_similarity(&na, &nb);
-    token_sim.max(char_sim)
+    PreparedTitle::new(a).similarity(b)
 }
 
 /// Similarity between two person names in `[0, 1]`.
@@ -48,25 +41,26 @@ pub fn title_similarity(a: &str, b: &str) -> f64 {
 /// `"Family, Given"` convention of one source) before a Jaro-Winkler
 /// comparison, which is the standard measure for short person names.
 pub fn person_name_similarity(a: &str, b: &str) -> f64 {
-    let na = normalize_person_name(a);
-    let nb = normalize_person_name(b);
-    if na.is_empty() && nb.is_empty() {
-        return 1.0;
-    }
-    jaro_winkler(&na, &nb)
+    PreparedPersonName::new(a).similarity(b)
 }
 
-/// One movie title preprocessed for one-vs-many comparison.
+/// The right-hand side of a prepared measure: a raw string, prepared on
+/// the spot, or a value of the same kind prepared earlier.
+pub trait Operand<P: Clone> {
+    /// This operand in prepared form.
+    fn prepared(&self) -> Cow<'_, P>;
+}
+
+/// One movie title, normalised and tokenised once.
 ///
-/// Normalisation and tokenisation of the left-hand title happen once at
-/// construction; [`PreparedTitle::similarity`] then produces exactly the
-/// same bits as [`title_similarity`] for every right-hand title, and
-/// [`PreparedTitle::similarity_batch`] additionally routes the
-/// character-level comparisons through the active SIMD kernel.
+/// This is the only implementation of [`title_similarity`]: the free
+/// function, the Oracle's one-vs-many judging and the blocking plan's
+/// exact fallback all call [`PreparedTitle::similarity`], so they agree
+/// bit for bit by construction.
 #[derive(Debug, Clone)]
 pub struct PreparedTitle {
     norm: String,
-    tokens: BTreeSet<String>,
+    tokens: Vec<String>,
 }
 
 impl PreparedTitle {
@@ -76,39 +70,44 @@ impl PreparedTitle {
         PreparedTitle { norm, tokens }
     }
 
-    /// Bit-identical to `title_similarity(a, b)`.
-    pub fn similarity(&self, b: &str) -> f64 {
-        let nb = normalize_title(b);
-        if self.norm.is_empty() && nb.is_empty() {
-            return 1.0;
-        }
-        let token_sim = jaccard_token_sets(&self.tokens, &token_set(&nb));
-        let char_sim = levenshtein_similarity(&self.norm, &nb);
-        token_sim.max(char_sim)
+    /// The normalised title.
+    pub fn norm(&self) -> &str {
+        &self.norm
     }
 
-    /// One-vs-many [`PreparedTitle::similarity`], batching the edit
-    /// distances through the active kernel. Bit-identical per element.
-    pub fn similarity_batch(&self, bs: &[&str]) -> Vec<f64> {
-        let nbs: Vec<String> = bs.iter().map(|b| normalize_title(b)).collect();
-        let refs: Vec<&str> = nbs.iter().map(String::as_str).collect();
-        let char_sims = similarity_batch(&self.norm, &refs);
-        nbs.iter()
-            .zip(char_sims)
-            .map(|(nb, char_sim)| {
-                if self.norm.is_empty() && nb.is_empty() {
-                    1.0
-                } else {
-                    jaccard_token_sets(&self.tokens, &token_set(nb)).max(char_sim)
-                }
-            })
-            .collect()
+    /// The normalised title's token set, sorted and deduplicated.
+    pub fn tokens(&self) -> &[String] {
+        &self.tokens
+    }
+
+    /// Title similarity against a raw or prepared title: the larger of
+    /// token-set Jaccard and Levenshtein similarity on the normalised
+    /// titles; two titles that normalise to nothing are identical.
+    pub fn similarity<T: Operand<Self> + ?Sized>(&self, other: &T) -> f64 {
+        let other = other.prepared();
+        if self.norm.is_empty() && other.norm.is_empty() {
+            return 1.0;
+        }
+        let token_sim = jaccard_token_sets(&self.tokens, &other.tokens);
+        let char_sim = levenshtein_similarity(&self.norm, &other.norm);
+        token_sim.max(char_sim)
     }
 }
 
-/// One person name preprocessed for one-vs-many comparison: the
-/// normalisation of the left-hand name is done once. Bit-identical to
-/// [`person_name_similarity`] per right-hand name.
+impl Operand<PreparedTitle> for PreparedTitle {
+    fn prepared(&self) -> Cow<'_, PreparedTitle> {
+        Cow::Borrowed(self)
+    }
+}
+
+impl Operand<PreparedTitle> for str {
+    fn prepared(&self) -> Cow<'_, PreparedTitle> {
+        Cow::Owned(PreparedTitle::new(self))
+    }
+}
+
+/// One person name, normalised once. The only implementation of
+/// [`person_name_similarity`], as [`PreparedTitle`] is for titles.
 #[derive(Debug, Clone)]
 pub struct PreparedPersonName {
     norm: String,
@@ -121,19 +120,31 @@ impl PreparedPersonName {
         }
     }
 
-    /// Bit-identical to `person_name_similarity(a, b)`.
-    pub fn similarity(&self, b: &str) -> f64 {
-        let nb = normalize_person_name(b);
-        if self.norm.is_empty() && nb.is_empty() {
-            return 1.0;
-        }
-        jaro_winkler(&self.norm, &nb)
+    /// The normalised name, in `given family` order.
+    pub fn norm(&self) -> &str {
+        &self.norm
     }
 
-    /// One-vs-many [`PreparedPersonName::similarity`]. Jaro-Winkler has no
-    /// vector kernel; this amortises the left-hand normalisation only.
-    pub fn similarity_batch(&self, bs: &[&str]) -> Vec<f64> {
-        bs.iter().map(|b| self.similarity(b)).collect()
+    /// Jaro-Winkler similarity of the normalised names against a raw or
+    /// prepared name; two names that normalise to nothing are identical.
+    pub fn similarity<T: Operand<Self> + ?Sized>(&self, other: &T) -> f64 {
+        let other = other.prepared();
+        if self.norm.is_empty() && other.norm.is_empty() {
+            return 1.0;
+        }
+        jaro_winkler(&self.norm, &other.norm)
+    }
+}
+
+impl Operand<PreparedPersonName> for PreparedPersonName {
+    fn prepared(&self) -> Cow<'_, PreparedPersonName> {
+        Cow::Borrowed(self)
+    }
+}
+
+impl Operand<PreparedPersonName> for str {
+    fn prepared(&self) -> Cow<'_, PreparedPersonName> {
+        Cow::Owned(PreparedPersonName::new(self))
     }
 }
 
@@ -158,11 +169,11 @@ mod tests {
         ];
         for a in lhs {
             let prep = PreparedTitle::new(a);
-            let batch = prep.similarity_batch(&rhs);
-            for (b, batched) in rhs.iter().zip(batch) {
+            for b in rhs {
                 let expect = title_similarity(a, b);
                 assert_eq!(prep.similarity(b).to_bits(), expect.to_bits(), "{a} vs {b}");
-                assert_eq!(batched.to_bits(), expect.to_bits(), "{a} vs {b} (batch)");
+                let both = prep.similarity(&PreparedTitle::new(b));
+                assert_eq!(both.to_bits(), expect.to_bits(), "{a} vs {b} (prepared)");
             }
         }
     }
@@ -173,11 +184,11 @@ mod tests {
         let rhs = ["John McTiernan", "Woo, John", "Jan de Bont", ""];
         for a in lhs {
             let prep = PreparedPersonName::new(a);
-            let batch = prep.similarity_batch(&rhs);
-            for (b, batched) in rhs.iter().zip(batch) {
+            for b in rhs {
                 let expect = person_name_similarity(a, b);
                 assert_eq!(prep.similarity(b).to_bits(), expect.to_bits(), "{a} vs {b}");
-                assert_eq!(batched.to_bits(), expect.to_bits(), "{a} vs {b} (batch)");
+                let both = prep.similarity(&PreparedPersonName::new(b));
+                assert_eq!(both.to_bits(), expect.to_bits(), "{a} vs {b} (prepared)");
             }
         }
     }

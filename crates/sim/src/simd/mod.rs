@@ -1,112 +1,19 @@
-//! Runtime-dispatched edit-distance kernels.
+//! The edit-distance kernel tier.
 //!
-//! One trait ([`EditKernel`]), two implementations: a portable scalar
-//! kernel ([`generic`]) and a vectorised AVX2 kernel ([`avx2`], x86-64
-//! only). Both run the *same integer dynamic program* — Myers'
-//! bit-parallel Levenshtein — so the distances they produce, and every
-//! `f64` similarity derived from them, are bit-identical regardless of
-//! which implementation the dispatcher picks. That equivalence is the
-//! contract that lets the rest of the pipeline keep its bit-reproducible
-//! guarantee while the kernel choice varies per machine; the property
-//! tests in `crates/sim/tests` enforce it on random ASCII and Unicode
-//! inputs.
+//! There is one tier, the portable scalar one in [`generic`]: Myers'
+//! bit-parallel Levenshtein for ASCII patterns of at most 64 bytes, used
+//! by [`crate::levenshtein`] whenever the shorter side fits one machine
+//! word. Everything else takes the two-row DP in [`crate::edit`]. Both
+//! compute exact integers, so every derived `f64` similarity is the same
+//! on every machine.
 //!
-//! Dispatch is decided once per process and cached: the first call to
-//! [`active`] probes the CPU (and the `IMPRECISE_SIM_FORCE` environment
-//! variable) and every later call returns the same kernel, so a run never
-//! mixes implementations mid-flight.
+//! [`active_name`] stays because benchmark run records carry the kernel
+//! tier they were measured under; it always names this scalar tier.
 
 pub mod generic;
 
-#[cfg(target_arch = "x86_64")]
-pub mod avx2;
-
-use std::sync::OnceLock;
-
-/// A batched one-vs-many Levenshtein kernel.
-///
-/// Implementations must return identical integers for identical inputs —
-/// the dispatcher treats them as interchangeable.
-pub trait EditKernel: Send + Sync {
-    /// Stable implementation name (`"generic"`, `"avx2"`).
-    fn name(&self) -> &'static str;
-
-    /// Levenshtein distance of the ASCII pattern `a` (1..=64 bytes)
-    /// against each ASCII text in `bs`, appended to `out` in order.
-    ///
-    /// Callers guarantee `a` and every text are ASCII and `a` is
-    /// non-empty and at most 64 bytes; texts may have any length.
-    fn levenshtein_ascii_batch(&self, a: &[u8], bs: &[&[u8]], out: &mut Vec<usize>);
-}
-
-/// The portable scalar kernel, always available. Property tests compare
-/// every other kernel against this one.
-pub fn generic_kernel() -> &'static dyn EditKernel {
-    static GENERIC: generic::GenericKernel = generic::GenericKernel;
-    &GENERIC
-}
-
-/// The fastest kernel the CPU supports, ignoring `IMPRECISE_SIM_FORCE`.
-pub fn detected_kernel() -> &'static dyn EditKernel {
-    #[cfg(target_arch = "x86_64")]
-    if let Some(k) = avx2::Avx2Kernel::detect() {
-        return k;
-    }
-    generic_kernel()
-}
-
-/// The process-wide active kernel.
-///
-/// Selection happens exactly once: `IMPRECISE_SIM_FORCE=generic` pins the
-/// scalar kernel, `IMPRECISE_SIM_FORCE=native` (or any other value, or an
-/// unset variable) selects the best detected ISA. The result is cached in
-/// a `OnceLock`, so the choice is deterministic for the process lifetime
-/// even if the environment later changes.
-pub fn active() -> &'static dyn EditKernel {
-    static ACTIVE: OnceLock<&'static dyn EditKernel> = OnceLock::new();
-    *ACTIVE.get_or_init(|| {
-        // lint:allow(sim-isa-dispatch, read once and cached in the OnceLock above; the selected kernel is bit-identical to every other kernel, so dispatch cannot affect results)
-        match std::env::var("IMPRECISE_SIM_FORCE").as_deref() {
-            Ok("generic") => generic_kernel(),
-            _ => detected_kernel(),
-        }
-    })
-}
-
-/// Name of the process-wide active kernel (for stats and diagnostics).
+/// Name of the kernel tier that computes edit distances, for run records
+/// and diagnostics. Always `"generic"`: there is no runtime dispatch.
 pub fn active_name() -> &'static str {
-    active().name()
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn active_is_cached_and_stable() {
-        let first = active().name();
-        for _ in 0..4 {
-            assert_eq!(active().name(), first);
-        }
-    }
-
-    #[test]
-    fn detected_kernel_is_a_known_implementation() {
-        let name = detected_kernel().name();
-        assert!(
-            name == "generic" || name == "avx2",
-            "unexpected kernel {name}"
-        );
-    }
-
-    #[test]
-    fn kernels_agree_on_a_smoke_batch() {
-        let bs: Vec<&[u8]> = vec![b"sitting", b"", b"kitten", b"kittens", b"xyz"];
-        let mut generic_out = Vec::new();
-        generic_kernel().levenshtein_ascii_batch(b"kitten", &bs, &mut generic_out);
-        let mut detected_out = Vec::new();
-        detected_kernel().levenshtein_ascii_batch(b"kitten", &bs, &mut detected_out);
-        assert_eq!(generic_out, vec![3, 6, 0, 1, 6]);
-        assert_eq!(generic_out, detected_out);
-    }
+    "generic"
 }

@@ -21,21 +21,35 @@ pub fn tokenize(s: &str) -> Vec<String> {
     tokens
 }
 
-/// The token *set* of a string: [`tokenize`] deduplicated and ordered.
-pub fn token_set(s: &str) -> BTreeSet<String> {
-    tokenize(s).into_iter().collect()
+/// The token *set* of a string: [`tokenize`] sorted and deduplicated.
+pub fn token_set(s: &str) -> Vec<String> {
+    let mut tokens = tokenize(s);
+    tokens.sort_unstable();
+    tokens.dedup();
+    tokens
 }
 
-/// Jaccard similarity of two precomputed token sets, in `[0, 1]`. This is
-/// the set arithmetic behind [`jaccard_tokens`]; callers that cache
-/// [`token_set`] per element get the same bits without re-tokenising.
-pub fn jaccard_token_sets(sa: &BTreeSet<String>, sb: &BTreeSet<String>) -> f64 {
-    if sa.is_empty() && sb.is_empty() {
+/// Jaccard similarity of two token sets from [`token_set`], in `[0, 1]`,
+/// by a two-pointer merge over the sorted tokens. This is the set
+/// arithmetic behind [`jaccard_tokens`]; callers that cache [`token_set`]
+/// per element get the same bits without re-tokenising.
+pub fn jaccard_token_sets(a: &[String], b: &[String]) -> f64 {
+    if a.is_empty() && b.is_empty() {
         return 1.0;
     }
-    let intersection = sa.intersection(sb).count();
-    let union = sa.union(sb).count();
-    intersection as f64 / union as f64
+    let (mut i, mut j, mut common) = (0, 0, 0usize);
+    while i < a.len() && j < b.len() {
+        match a[i].cmp(&b[j]) {
+            std::cmp::Ordering::Less => i += 1,
+            std::cmp::Ordering::Greater => j += 1,
+            std::cmp::Ordering::Equal => {
+                common += 1;
+                i += 1;
+                j += 1;
+            }
+        }
+    }
+    common as f64 / (a.len() + b.len() - common) as f64
 }
 
 /// Jaccard similarity of the token *sets* of two strings, in `[0, 1]`.

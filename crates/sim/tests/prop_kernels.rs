@@ -1,19 +1,14 @@
-//! Property tests for the SIMD kernel contract: every kernel computes the
-//! same integers as the scalar reference, on arbitrary ASCII and Unicode
-//! input, so every derived `f64` similarity is bit-identical.
-//!
-//! `IMPRECISE_SIM_FORCE` selects the *process-wide* kernel (CI runs this
-//! suite once per value); these tests additionally compare the explicit
-//! `generic_kernel()` and `detected_kernel()` instances directly, so a
-//! single run on an AVX2 machine still exercises both implementations
-//! against each other.
+//! Property tests for the similarity measures: the edit distance agrees
+//! with an independent reference DP on arbitrary ASCII and Unicode input,
+//! and the prepared title and person-name forms are bit-identical to the
+//! formulas they replace, written out here with `BTreeSet` token sets.
 
-use imprecise_sim::edit::levenshtein_batch_with;
-use imprecise_sim::simd::{active, detected_kernel, generic_kernel};
 use imprecise_sim::{
-    levenshtein, levenshtein_batch, levenshtein_similarity, similarity_batch, PreparedTitle,
+    jaro_winkler, levenshtein, levenshtein_similarity, normalize_person_name, normalize_title,
+    person_name_similarity, title_similarity, tokenize, PreparedPersonName, PreparedTitle,
 };
 use proptest::prelude::*;
+use std::collections::BTreeSet;
 
 /// Reference two-row DP over Unicode scalars — independent of every
 /// implementation under test.
@@ -34,6 +29,34 @@ fn reference_levenshtein(a: &str, b: &str) -> usize {
     prev[bc.len()]
 }
 
+/// Title similarity as computed before token sets became sorted vectors:
+/// `BTreeSet` token sets, Jaccard, then the larger of that and the
+/// Levenshtein similarity of the normalised titles.
+fn reference_title_similarity(a: &str, b: &str) -> f64 {
+    let (na, nb) = (normalize_title(a), normalize_title(b));
+    if na.is_empty() && nb.is_empty() {
+        return 1.0;
+    }
+    let ta: BTreeSet<String> = tokenize(&na).into_iter().collect();
+    let tb: BTreeSet<String> = tokenize(&nb).into_iter().collect();
+    let jaccard = if ta.is_empty() && tb.is_empty() {
+        1.0
+    } else {
+        ta.intersection(&tb).count() as f64 / ta.union(&tb).count() as f64
+    };
+    jaccard.max(levenshtein_similarity(&na, &nb))
+}
+
+/// Person-name similarity as computed before the prepared form became
+/// its only implementation.
+fn reference_person_name_similarity(a: &str, b: &str) -> f64 {
+    let (na, nb) = (normalize_person_name(a), normalize_person_name(b));
+    if na.is_empty() && nb.is_empty() {
+        return 1.0;
+    }
+    jaro_winkler(&na, &nb)
+}
+
 fn ascii_string(max_len: usize) -> impl Strategy<Value = String> {
     proptest::collection::vec(0u8..128, 0..=max_len)
         .prop_map(|bytes| bytes.into_iter().map(|b| b as char).collect())
@@ -46,6 +69,39 @@ fn unicode_string(max_len: usize) -> impl Strategy<Value = String> {
             .filter_map(char::from_u32)
             .collect::<String>()
     })
+}
+
+/// Title- and name-like Unicode strings: words from a small vocabulary
+/// (so token sets overlap and normalisation rules fire) joined by mixed
+/// separators, followed by a random Unicode fragment.
+fn unicode_phrase() -> impl Strategy<Value = String> {
+    const WORDS: [&str; 12] = [
+        "Jaws",
+        "jaws",
+        "II",
+        "2",
+        "Café",
+        "CAFÉ",
+        "Straße",
+        "Ὀδύσσεια",
+        "die",
+        "Hard",
+        "Woo",
+        "John",
+    ];
+    const SEPS: [&str; 4] = [" ", ", ", ": ", "-"];
+    (
+        proptest::collection::vec((0..WORDS.len(), 0..SEPS.len()), 0..5),
+        unicode_string(6),
+    )
+        .prop_map(|(words, tail)| {
+            let mut s = String::new();
+            for (w, sep) in words {
+                s.push_str(WORDS[w]);
+                s.push_str(SEPS[sep]);
+            }
+            s + &tail
+        })
 }
 
 proptest! {
@@ -64,61 +120,42 @@ proptest! {
         prop_assert_eq!(levenshtein(&a, &b), reference_levenshtein(&a, &b));
     }
 
-    /// Forced-generic, detected, and process-active kernels produce the
-    /// same integers as each other and as the per-pair path, on batches of
-    /// mixed ASCII texts.
+    /// Levenshtein similarity is `1 - d / max_len` over the reference
+    /// distance, and the prepared title agrees with the free function, bit
+    /// for bit.
     #[test]
-    fn kernels_are_bit_identical_on_ascii_batches(
-        a in ascii_string(64),
-        bs in proptest::collection::vec(ascii_string(120), 0..24),
-    ) {
-        let refs: Vec<&str> = bs.iter().map(String::as_str).collect();
-        let mut generic_out = Vec::new();
-        levenshtein_batch_with(generic_kernel(), &a, &refs, &mut generic_out);
-        let mut detected_out = Vec::new();
-        levenshtein_batch_with(detected_kernel(), &a, &refs, &mut detected_out);
-        let mut active_out = Vec::new();
-        levenshtein_batch_with(active(), &a, &refs, &mut active_out);
-        let pairwise: Vec<usize> = refs.iter().map(|b| reference_levenshtein(&a, b)).collect();
-        prop_assert_eq!(&generic_out, &pairwise);
-        prop_assert_eq!(&detected_out, &pairwise);
-        prop_assert_eq!(&active_out, &pairwise);
-        prop_assert_eq!(levenshtein_batch(&a, &refs), pairwise);
+    fn similarities_are_bit_identical(a in ascii_string(64), b in ascii_string(80)) {
+        let max_len = a.chars().count().max(b.chars().count());
+        let expect = if max_len == 0 {
+            1.0
+        } else {
+            1.0 - reference_levenshtein(&a, &b) as f64 / max_len as f64
+        };
+        prop_assert_eq!(levenshtein_similarity(&a, &b).to_bits(), expect.to_bits());
+        prop_assert_eq!(
+            PreparedTitle::new(&a).similarity(b.as_str()).to_bits(),
+            title_similarity(&a, &b).to_bits()
+        );
     }
 
-    /// Batches containing Unicode take the scalar fallback per element but
-    /// must still agree with the per-pair path exactly.
+    /// Every form of the title measure reproduces the reference formula
+    /// on arbitrary Unicode, bit for bit.
     #[test]
-    fn kernels_are_bit_identical_on_mixed_batches(
-        a in unicode_string(30),
-        bs in proptest::collection::vec(unicode_string(50), 0..12),
-    ) {
-        let refs: Vec<&str> = bs.iter().map(String::as_str).collect();
-        let mut generic_out = Vec::new();
-        levenshtein_batch_with(generic_kernel(), &a, &refs, &mut generic_out);
-        let mut detected_out = Vec::new();
-        levenshtein_batch_with(detected_kernel(), &a, &refs, &mut detected_out);
-        let pairwise: Vec<usize> = refs.iter().map(|b| reference_levenshtein(&a, b)).collect();
-        prop_assert_eq!(&generic_out, &pairwise);
-        prop_assert_eq!(&detected_out, &pairwise);
-    }
-
-    /// Derived f64 similarities are bit-identical between the batched and
-    /// per-pair paths — the property the pipeline's determinism rests on.
-    #[test]
-    fn similarities_are_bit_identical(
-        a in ascii_string(64),
-        bs in proptest::collection::vec(ascii_string(80), 0..16),
-    ) {
-        let refs: Vec<&str> = bs.iter().map(String::as_str).collect();
-        let batched = similarity_batch(&a, &refs);
-        for (b, s) in refs.iter().zip(batched) {
-            prop_assert_eq!(s.to_bits(), levenshtein_similarity(&a, b).to_bits());
-        }
+    fn prepared_title_matches_reference(a in unicode_phrase(), b in unicode_phrase()) {
+        let expect = reference_title_similarity(&a, &b).to_bits();
         let prep = PreparedTitle::new(&a);
-        let titles = prep.similarity_batch(&refs);
-        for (b, s) in refs.iter().zip(titles) {
-            prop_assert_eq!(s.to_bits(), imprecise_sim::title_similarity(&a, b).to_bits());
-        }
+        prop_assert_eq!(prep.similarity(&PreparedTitle::new(&b)).to_bits(), expect);
+        prop_assert_eq!(prep.similarity(b.as_str()).to_bits(), expect);
+        prop_assert_eq!(title_similarity(&a, &b).to_bits(), expect);
+    }
+
+    /// ... and so does every form of the person-name measure.
+    #[test]
+    fn prepared_person_name_matches_reference(a in unicode_phrase(), b in unicode_phrase()) {
+        let expect = reference_person_name_similarity(&a, &b).to_bits();
+        let prep = PreparedPersonName::new(&a);
+        prop_assert_eq!(prep.similarity(&PreparedPersonName::new(&b)).to_bits(), expect);
+        prop_assert_eq!(prep.similarity(b.as_str()).to_bits(), expect);
+        prop_assert_eq!(person_name_similarity(&a, &b).to_bits(), expect);
     }
 }

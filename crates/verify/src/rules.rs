@@ -145,18 +145,18 @@ pub const RULES: &[RuleDoc] = &[
         id: "sim-unsafe",
         summary: "unsafe code in the similarity kernels",
         scope: "crates/sim, lib code",
-        rationale: "SIMD kernels are the only sanctioned unsafe in the workspace; every \
-                    unsafe block must carry a lint:allow naming the safety proof (the \
-                    target-feature gate) so new unsafe cannot land unreviewed.",
+        rationale: "crates/sim has no unsafe code: its kernels are portable scalar \
+                    code, so any unsafe block that appears fails the lint unless it carries \
+                    a lint:allow naming its safety proof, and cannot land unreviewed.",
     },
     RuleDoc {
         id: "sim-isa-dispatch",
         summary: "runtime ISA detection / kernel-selection env read in sim",
         scope: "crates/sim, lib code",
-        rationale: "Kernel dispatch decides which machine code computes similarities; \
-                    every detection site must be annotated with why its choice cannot \
-                    change results (all kernels are bit-identical) and must stay cached \
-                    so published bytes never depend on mid-run environment changes.",
+        rationale: "crates/sim has no runtime ISA detection and reads no environment: \
+                    one scalar tier computes every similarity. A new detection site or env \
+                    read fails the lint unless annotated with why its choice cannot change \
+                    results, so published bytes never depend on the machine or environment.",
     },
     RuleDoc {
         id: "unused-allow",

@@ -4,13 +4,20 @@
 //! blocking off, on every workload — named scenarios and random ones.
 //! The only permitted difference is *work*: fewer oracle calls, with
 //! the pruned pairs accounted in `IntegrationStats::pairs_pruned`.
+//!
+//! Besides the preset oracles, random rule lists drawn from all four rule
+//! kinds check that every pair a blocking plan prunes is one its oracle
+//! rejects — the rule set is closed, so this covers every rule shape.
 
 use imprecise::datagen::addressbook::{addressbook_schema, addressbook_to_xml, fig2_sources};
 use imprecise::datagen::scenarios::{confusable, large_source, sequels_t1, MovieScenario};
-use imprecise::integrate::{integrate_xml, BlockingMode, IntegrationOptions, IntegrationOutcome};
+use imprecise::integrate::{integrate_px, BlockingMode, IntegrationOptions, IntegrationOutcome};
 use imprecise::oracle::presets::{addressbook_oracle, movie_oracle, MovieOracleConfig};
-use imprecise::oracle::Oracle;
-use imprecise::pxml::px_fingerprint;
+use imprecise::oracle::rules::{
+    DeepEqualRule, ExactTextRule, KeyInequalityRule, Rule, SimMeasure, SimilarityThresholdRule,
+};
+use imprecise::oracle::{Decision, ElemRef, Oracle, SimilarityPrior};
+use imprecise::pxml::{from_xml, px_fingerprint, PxDoc, PxNodeId};
 use imprecise::xml::XmlDoc;
 use proptest::prelude::*;
 
@@ -28,7 +35,17 @@ fn run(
     schema: Option<&imprecise::xml::Schema>,
     blocking: BlockingMode,
 ) -> IntegrationOutcome {
-    integrate_xml(a, b, oracle, schema, &opts(blocking)).expect("integration succeeds")
+    run_px(&from_xml(a), &from_xml(b), oracle, schema, blocking)
+}
+
+fn run_px(
+    a: &PxDoc,
+    b: &PxDoc,
+    oracle: &Oracle,
+    schema: Option<&imprecise::xml::Schema>,
+    blocking: BlockingMode,
+) -> IntegrationOutcome {
+    integrate_px(a, b, oracle, schema, &opts(blocking)).expect("integration succeeds")
 }
 
 /// Assert blocked ≡ unblocked bitwise and return (unblocked, blocked).
@@ -39,8 +56,19 @@ fn assert_recall_safe(
     schema: Option<&imprecise::xml::Schema>,
     label: &str,
 ) -> (IntegrationOutcome, IntegrationOutcome) {
-    let off = run(a, b, oracle, schema, BlockingMode::Off);
-    let safe = run(a, b, oracle, schema, BlockingMode::RecallSafe);
+    assert_recall_safe_px(&from_xml(a), &from_xml(b), oracle, schema, label)
+}
+
+/// [`assert_recall_safe`] on (possibly already probabilistic) documents.
+fn assert_recall_safe_px(
+    a: &PxDoc,
+    b: &PxDoc,
+    oracle: &Oracle,
+    schema: Option<&imprecise::xml::Schema>,
+    label: &str,
+) -> (IntegrationOutcome, IntegrationOutcome) {
+    let off = run_px(a, b, oracle, schema, BlockingMode::Off);
+    let safe = run_px(a, b, oracle, schema, BlockingMode::RecallSafe);
     assert_eq!(
         px_fingerprint(&off.doc, off.doc.root()),
         px_fingerprint(&safe.doc, safe.doc.root()),
@@ -209,5 +237,146 @@ proptest! {
             Some(&schema),
             "random-movies",
         );
+    }
+}
+
+const RULE_TAGS: [&str; 3] = ["movie", "genre", "title"];
+
+const MEASURES: [SimMeasure; 6] = [
+    SimMeasure::Title,
+    SimMeasure::PersonName,
+    SimMeasure::Levenshtein,
+    SimMeasure::JaroWinkler,
+    SimMeasure::TokenJaccard,
+    SimMeasure::TrigramDice,
+];
+
+/// One rule from a `(kind, tag, measure, threshold %, path)` draw. Movie
+/// rules read `title` or `year`; genre and title rules read the
+/// element's own text.
+fn random_rule(
+    i: usize,
+    (kind, tag, measure, pct, path): (usize, usize, usize, u32, usize),
+) -> Rule {
+    let tag = RULE_TAGS[tag];
+    let value_path = match tag {
+        "movie" => ["title", "year"][path],
+        _ => "",
+    };
+    let rule_name = format!("rule-{i}");
+    match kind {
+        0 => DeepEqualRule.into(),
+        1 => ExactTextRule::new(tag).into(),
+        2 => SimilarityThresholdRule {
+            rule_name,
+            tag: tag.into(),
+            value_path: value_path.into(),
+            threshold: f64::from(pct) / 100.0,
+            measure: MEASURES[measure],
+        }
+        .into(),
+        _ => KeyInequalityRule {
+            rule_name,
+            tag: tag.into(),
+            value_path: value_path.into(),
+        }
+        .into(),
+    }
+}
+
+const MOVIE_TITLES: [&str; 6] = ["Jaws", "Jaws 2", "Jaws II", "Heat", "Die Hard", ""];
+const MOVIE_GENRES: [&str; 3] = ["Horror", "Action", "horror"];
+
+/// A catalogue of movies, each drawn as `(title, alt title, year, alt
+/// year, genre)`. An alt title below 6 makes the title text a choice
+/// between the two titles; an alt year below 4 makes the year element a
+/// choice between the two years, 4 keeps it certain and 5 leaves it out;
+/// genre 3 leaves the genre out.
+fn random_catalog(specs: &[(usize, usize, u32, usize, usize)]) -> PxDoc {
+    let mut doc = PxDoc::new();
+    let root = doc.root();
+    let poss = doc.add_poss(root, 1.0);
+    let catalog = doc.add_elem(poss, "catalog");
+    for &(title, alt_title, year, alt_year, genre) in specs {
+        let movie = doc.add_elem(catalog, "movie");
+        let title_elem = doc.add_elem(movie, "title");
+        if alt_title < MOVIE_TITLES.len() {
+            let choice = doc.add_prob(title_elem);
+            for t in [title, alt_title] {
+                let p = doc.add_poss(choice, 0.5);
+                doc.add_text(p, MOVIE_TITLES[t]);
+            }
+        } else {
+            doc.add_text(title_elem, MOVIE_TITLES[title]);
+        }
+        match alt_year {
+            0..=3 => {
+                let choice = doc.add_prob(movie);
+                for y in [year, alt_year as u32] {
+                    let p = doc.add_poss(choice, 0.5);
+                    doc.add_text_elem(p, "year", (1975 + y).to_string());
+                }
+            }
+            4 => {
+                doc.add_text_elem(movie, "year", (1975 + year).to_string());
+            }
+            _ => {}
+        }
+        if genre < MOVIE_GENRES.len() {
+            doc.add_text_elem(movie, "genre", MOVIE_GENRES[genre]);
+        }
+    }
+    doc
+}
+
+/// Every element of `doc` with tag `tag`, including those under choices.
+fn elements_tagged(doc: &PxDoc, tag: &str) -> Vec<PxNodeId> {
+    let mut out = Vec::new();
+    let mut stack = vec![doc.root()];
+    while let Some(n) = stack.pop() {
+        if doc.tag(n) == Some(tag) {
+            out.push(n);
+        }
+        stack.extend(doc.children(n).iter().rev());
+    }
+    out
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    #[test]
+    fn random_rule_lists_prune_only_nonmatches(
+        rules in proptest::collection::vec((0usize..4, 0usize..3, 0usize..6, 0u32..121, 0usize..2), 1..6),
+        specs_a in proptest::collection::vec((0usize..6, 0usize..9, 0u32..4, 0usize..6, 0usize..4), 0..4),
+        specs_b in proptest::collection::vec((0usize..6, 0usize..9, 0u32..4, 0usize..6, 0usize..4), 0..4),
+    ) {
+        let rules: Vec<Rule> = rules.into_iter().enumerate().map(|(i, r)| random_rule(i, r)).collect();
+        let oracle = Oracle::new(rules, SimilarityPrior::movie_title(0.05, 0.95).into());
+        let (a, b) = (random_catalog(&specs_a), random_catalog(&specs_b));
+        // Every ordered pair over both catalogues, self-pairs included:
+        // identical elements are where deep-equal transparency is tested.
+        for tag in RULE_TAGS {
+            let plan = oracle.blocking_plan(tag);
+            let elems: Vec<ElemRef<'_>> = [&a, &b]
+                .into_iter()
+                .flat_map(|doc| elements_tagged(doc, tag).into_iter().map(move |node| ElemRef { doc, node }))
+                .collect();
+            let features: Vec<_> = elems.iter().map(|e| plan.features(e)).collect();
+            for (ea, fa) in elems.iter().zip(&features) {
+                for (eb, fb) in elems.iter().zip(&features) {
+                    if plan.prunes(fa, fb) {
+                        prop_assert_eq!(
+                            oracle.judge(ea, eb).decision,
+                            Decision::NonMatch,
+                            "{:?} pruned a pair its oracle does not reject",
+                            plan
+                        );
+                    }
+                }
+            }
+        }
+        let schema = imprecise::datagen::movies::movie_schema();
+        assert_recall_safe_px(&a, &b, &oracle, Some(&schema), "random-rule-lists");
     }
 }
